@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import qr
 
 from .ensemble import PathEnsemble
-from .forward import Trajectory, _stepper
+from .forward import Trajectory, _stepper, tensor_drift
 from .operators import (EllipticOperator, SpectralBasis,
                         mollified_terminal_batch, sobolev_norms_batch)
 from .scenario import ControlProcess, Scenario
@@ -97,6 +97,15 @@ def _project(feats: np.ndarray, target: np.ndarray):
 
 def _mean_project(target: np.ndarray) -> np.ndarray:
     return np.broadcast_to(target.mean(axis=0), target.shape)
+
+
+def _qcouple(sx: np.ndarray, Qk: np.ndarray) -> np.ndarray:
+    """sum_k (sx_k (+) sx_k) Q_k: the martingale coupling of the
+    second-order adjoint, from sx (M, n, K) and Qk (M, K, n, n)."""
+    out = (sx[:, :, 0, None] + sx[:, None, :, 0]) * Qk[:, 0]
+    for k in range(1, Qk.shape[1]):
+        out += (sx[:, :, k, None] + sx[:, None, :, k]) * Qk[:, k]
+    return out
 
 
 @dataclass
@@ -185,8 +194,7 @@ def solve_adjoint2_mollified(scn: Scenario, xbar: Trajectory, ubar: ControlProce
                              ens: PathEnsemble, pair1: BackwardPair1, eta: float,
                              method: str = "regress",
                              reg_basis: RegressionBasis = None,
-                             store_steps=(), step_hook: Callable = None,
-                             store_all: bool = False) -> BackwardPair2:
+                             store_steps=(), step_hook: Callable = None) -> BackwardPair2:
     """Backward sweep for the mollified second-order adjoint.
 
     The additive source is the diagonal embedding of the curvature of the
@@ -201,16 +209,13 @@ def solve_adjoint2_mollified(scn: Scenario, xbar: Trajectory, ubar: ControlProce
     """
     if method not in ("regress", "mean"):
         raise ValueError(f"unknown conditional-expectation method {method!r}")
-    m, n, K = ens.n_paths, scn.grid.n, scn.n_modes
+    m, n = ens.n_paths, scn.grid.n
     if method == "regress" and reg_basis is None:
         reg_basis = RegressionBasis(scn.grid, scn.op)
     stepper = _stepper(scn)
     basis2 = SpectralBasis.build(scn.grid.square(), scn.op)
     P = mollified_terminal_batch(xbar.final, scn.coeffs.h_xx, scn.grid, eta)
     stored = {}
-    if store_all:
-        full = np.empty((scn.n_t + 1, m, n, n))
-        full[scn.n_t] = P
     sup_hm1 = float(np.mean(sobolev_norms_batch(P, basis2, -1.0) ** 2))
     int_l2 = 0.0
     max_cond = 0.0
@@ -219,7 +224,7 @@ def solve_adjoint2_mollified(scn: Scenario, xbar: Trajectory, ubar: ControlProce
     for k in range(scn.n_t - 1, -1, -1):
         x = xbar[k]
         uk = ubar.evaluate(k, scn, x)
-        mart = P[..., None] * ens.dW[:, k][:, None, None, :]  # (M, n, n, K)
+        mart = P[:, None] * ens.dW[:, k][:, :, None, None]  # (M, K, n, n)
         if method == "mean":
             Phat = _mean_project(P)
             Qhat = _mean_project(mart) / scn.dt
@@ -231,33 +236,27 @@ def solve_adjoint2_mollified(scn: Scenario, xbar: Trajectory, ubar: ControlProce
             max_cond = max(max_cond, c1, c2)
         # resolvent first (exact discrete adjoint), explicit terms second
         Mk = stepper.solve2(Phat)
-        Q = np.moveaxis(stepper.solve2(np.moveaxis(Qhat, 3, 1)), 1, 3)
-        bx = scn.coeffs.b_x(x, uk)
+        Qk = stepper.solve2(Qhat)
         sx = scn.sigma_x_eff(x, uk)
-        c = bx[:, :, None] + bx[:, None, :] + np.einsum("pik,pjk->pij", sx, sx)
-        qcouple = np.einsum("pik,pijk->pij", sx, Q) + np.einsum("pjk,pijk->pij", sx, Q)
+        c = tensor_drift(scn.coeffs.b_x(x, uk), sx)
         curv = (scn.coeffs.l_xx(x, uk)
                 + scn.coeffs.b_xx(x, uk) * pair1.p[k]
                 + np.einsum("pnk,pnk->pn", scn.sigma_xx_eff(x, uk), pair1.q[k]))
         source = np.zeros((m, n, n))
         idx = np.arange(n)
         source[:, idx, idx] = curv / h
-        P = Mk + scn.dt * (c * Mk + qcouple + source)
+        P = Mk + scn.dt * (c * Mk + _qcouple(sx, Qk) + source)
         max_asym = max(max_asym, float(np.max(np.abs(P - np.swapaxes(P, 1, 2)))))
-        sup_hm1 = max(sup_hm1, float(np.mean(sobolev_norms_batch(P, basis2, -1.0) ** 2)))
-        int_l2 += scn.dt * float(np.mean(sobolev_norms_batch(P, basis2, 0.0) ** 2))
+        hm1, l2 = sobolev_norms_batch(P, basis2, (-1.0, 0.0))
+        sup_hm1 = max(sup_hm1, float(np.mean(hm1 ** 2)))
+        int_l2 += scn.dt * float(np.mean(l2 ** 2))
         if k in store_steps:
             stored[k] = P.copy()
-        if store_all:
-            full[k] = P
         if step_hook is not None:
-            step_hook(k, Mk, Q)
+            step_hook(k, Mk, np.moveaxis(Qk, 1, 3))
     diag = {"max_gram_condition": max_cond, "max_asymmetry": max_asym,
             "method": method}
-    pair = BackwardPair2(eta, P, stored, sup_hm1 + int_l2, diag)
-    if store_all:
-        pair.diagnostics["trajectory"] = full
-    return pair
+    return BackwardPair2(eta, P, stored, sup_hm1 + int_l2, diag)
 
 
 @dataclass
@@ -301,7 +300,7 @@ def solve_adjoint2_limit(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
     etas = sorted(etas, reverse=True)
     if len(etas) < 2:
         raise ValueError("eta ladder needs at least two widths")
-    m, n, K = ens.n_paths, scn.grid.n, scn.n_modes
+    m, n = ens.n_paths, scn.grid.n
     if method == "regress" and reg_basis is None:
         reg_basis = RegressionBasis(scn.grid, scn.op)
     stepper = _stepper(scn)
@@ -324,18 +323,17 @@ def solve_adjoint2_limit(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
         x = xbar[k]
         uk = ubar.evaluate(k, scn, x)
         feats = reg_basis.features(x) if method == "regress" else None
-        bx = scn.coeffs.b_x(x, uk)
         sx = scn.sigma_x_eff(x, uk)
-        c = bx[:, :, None] + bx[:, None, :] + np.einsum("pik,pjk->pij", sx, sx)
+        c = tensor_drift(scn.coeffs.b_x(x, uk), sx)
         curv = (scn.coeffs.l_xx(x, uk)
                 + scn.coeffs.b_xx(x, uk) * pair1.p[k]
                 + np.einsum("pnk,pnk->pn", scn.sigma_xx_eff(x, uk), pair1.q[k]))
         source = np.zeros((m, n, n))
         source[:, idx, idx] = curv / h
-        dwk = ens.dW[:, k][:, None, None, :]
+        dwk = ens.dW[:, k][:, :, None, None]
         for i in range(n_eta):
             P = Ps[i]
-            mart = P[..., None] * dwk
+            mart = P[:, None] * dwk
             if method == "mean":
                 Phat = _mean_project(P)
                 Qhat = _mean_project(mart) / scn.dt
@@ -345,22 +343,19 @@ def solve_adjoint2_limit(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
                 Qhat = Qhat / scn.dt
                 max_cond = max(max_cond, c1, c2)
             Mk = stepper.solve2(Phat)
-            Q = np.moveaxis(stepper.solve2(np.moveaxis(Qhat, 3, 1)), 1, 3)
-            qcouple = (np.einsum("pik,pijk->pij", sx, Q)
-                       + np.einsum("pjk,pijk->pij", sx, Q))
-            P = Mk + scn.dt * (c * Mk + qcouple + source)
+            Qk = stepper.solve2(Qhat)
+            P = Mk + scn.dt * (c * Mk + _qcouple(sx, Qk) + source)
             Ps[i] = P
-            sup_hm1[i] = max(sup_hm1[i], float(
-                np.mean(sobolev_norms_batch(P, basis2, -1.0) ** 2)))
-            int_l2[i] += scn.dt * float(
-                np.mean(sobolev_norms_batch(P, basis2, 0.0) ** 2))
+            hm1, l2 = sobolev_norms_batch(P, basis2, (-1.0, 0.0))
+            sup_hm1[i] = max(sup_hm1[i], float(np.mean(hm1 ** 2)))
+            int_l2[i] += scn.dt * float(np.mean(l2 ** 2))
             if i == n_eta - 1:
                 max_asym = max(max_asym, float(
                     np.max(np.abs(P - np.swapaxes(P, 1, 2)))))
                 if k in store_steps:
                     stored[k] = P.copy()
                 if step_hook is not None:
-                    step_hook(k, Mk, Q)
+                    step_hook(k, Mk, np.moveaxis(Qk, 1, 3))
         # time-L2 Cauchy increments over the left endpoints k = 0 .. n_t - 1
         for i in range(n_eta - 1):
             sq = h ** 2 * np.sum((Ps[i] - Ps[i + 1]) ** 2, axis=(-2, -1))

@@ -121,6 +121,25 @@ def simulate_linear(scn: Scenario, sys: SourcedLinearSPDE, ens: PathEnsemble,
     return Trajectory(values, [], y)
 
 
+def tensor_drift(bx: np.ndarray, sx: np.ndarray) -> np.ndarray:
+    """(M, n, n) drift multiplier of the product-space equations:
+    b_x(i) + b_x(j) + <sigma_x(i), sigma_x(j)> over the noise modes."""
+    return bx[:, :, None] + bx[:, None, :] + sx @ np.swapaxes(sx, 1, 2)
+
+
+def tensor_noise(sx: np.ndarray, dwk: np.ndarray, Y: np.ndarray,
+                 psik: Optional[np.ndarray] = None) -> np.ndarray:
+    """(M, n, n) noise increment of the product-space equation,
+    sum_k ((sx_k (+) sx_k) Y + psi_k) dW_k.  The multiplicative part
+    collapses to (s (+) s) Y with s = sum_k sx_k dW_k, one pass over Y."""
+    s = _noise_sum(sx, dwk)
+    noise = (s[:, :, None] + s[:, None, :]) * Y
+    if psik is not None:
+        for mode in range(dwk.shape[1]):
+            noise += psik[..., mode] * dwk[:, mode, None, None]
+    return noise
+
+
 def simulate_tensor(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
                     ens: PathEnsemble, phi: Callable = None, psi: Callable = None,
                     store: bool = True, step_hook: Callable = None) -> Trajectory:
@@ -142,21 +161,13 @@ def simulate_tensor(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
             step_hook(k, Y)
         x = xbar[k]
         ub = ubar.evaluate(k, scn, x)
-        bx = scn.coeffs.b_x(x, ub)
         sx = scn.sigma_x_eff(x, ub)
-        c = bx[:, :, None] + bx[:, None, :] + np.einsum("pik,pjk->pij", sx, sx)
-        drift = c * Y
+        drift = tensor_drift(scn.coeffs.b_x(x, ub), sx) * Y
         phik = phi(k) if phi is not None else None
         if phik is not None:
             drift = drift + phik
         psik = psi(k) if psi is not None else None
-        noise = np.zeros((m, n, n))
-        for mode in range(scn.n_modes):
-            dmode = sx[:, :, mode][:, :, None] + sx[:, :, mode][:, None, :]
-            z = dmode * Y
-            if psik is not None:
-                z = z + psik[..., mode]
-            noise += z * ens.dW[:, k, mode][:, None, None]
+        noise = tensor_noise(sx, ens.dW[:, k], Y, psik)
         Y = stepper.solve2(Y + scn.dt * drift + noise)
         _check_finite(Y, k + 1)
         if store:
@@ -271,9 +282,10 @@ def spike_tensor_sources(scn, xbar: Trajectory, ubar: ControlProcess,
         ds = scn.sigma_eff(x, ue) - scn.sigma_eff(x, ub)
         sxy = scn.sigma_x_eff(x, ub) * yk[..., None]
         out = yk[:, :, None] * db[:, None, :] + yk[:, None, :] * db[:, :, None]
-        cross = np.einsum("pik,pjk->pij", sxy, ds)
+        dsT = np.swapaxes(ds, 1, 2)
+        cross = sxy @ dsT
         out += cross + np.swapaxes(cross, 1, 2)
-        out += np.einsum("pik,pjk->pij", ds, ds)
+        out += ds @ dsT
         return out
 
     def psi(k):
@@ -294,15 +306,20 @@ def spike_tensor_sources(scn, xbar: Trajectory, ubar: ControlProcess,
 
 @dataclass
 class CostEstimate:
+    """Mean cost, its standard error, the per-path costs and the terminal
+    state they were computed from."""
+
     mean: float
     se: float
     per_path: np.ndarray
+    final: np.ndarray
 
 
 def _finalize_cost(scn, acc: np.ndarray, x_final: np.ndarray) -> CostEstimate:
     acc = acc + scn.grid.h * np.sum(scn.coeffs.h(x_final), axis=-1)
     return CostEstimate(float(np.mean(acc)),
-                        float(np.std(acc, ddof=1) / np.sqrt(len(acc))), acc)
+                        float(np.std(acc, ddof=1) / np.sqrt(len(acc))), acc,
+                        x_final)
 
 
 def cost(scn: Scenario, traj: Trajectory, u: ControlProcess = None) -> CostEstimate:

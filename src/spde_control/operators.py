@@ -140,18 +140,14 @@ class SpectralBasis:
         """Quadrature-scaled eigen-coefficients (batched over leading axes)."""
         V = self.vectors
         if self.is_2d:
-            x = np.asarray(values)
             # V.T @ X @ V, batched over leading axes
-            c = np.swapaxes(np.swapaxes(x, -1, -2) @ V, -1, -2) @ V
-            return self.grid.h * c
+            return self.grid.h * (V.T @ np.asarray(values) @ V)
         return np.sqrt(self.grid.h) * (np.asarray(values) @ V)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         V = self.vectors
         if self.is_2d:
-            c = np.asarray(coeffs)
-            x = np.swapaxes(np.swapaxes(c, -1, -2) @ V.T, -1, -2) @ V.T
-            return x / self.grid.h
+            return (V @ np.asarray(coeffs) @ V.T) / self.grid.h
         return (np.asarray(coeffs) @ V.T) / np.sqrt(self.grid.h)
 
 
@@ -172,12 +168,18 @@ def sobolev_norm(f: Union[Field, TensorField, np.ndarray], basis: SpectralBasis,
     return float(np.sqrt(np.sum(lam ** gamma * c ** 2)))
 
 
-def sobolev_norms_batch(values: np.ndarray, basis: SpectralBasis, gamma: float) -> np.ndarray:
-    """Per-sample Sobolev norms for a batch of value arrays."""
-    c = basis.coeffs(values)
+def sobolev_norms_batch(values: np.ndarray, basis: SpectralBasis, gamma):
+    """Per-sample Sobolev norms for a batch of value arrays.
+
+    gamma is one order or a sequence of orders; a sequence gets a list
+    with one norm array per order, all from a single spectral transform.
+    """
+    c2 = basis.coeffs(values) ** 2
     lam = basis.pair_eigenvalues() if basis.is_2d else basis.eigenvalues
-    sq = np.sum(lam ** gamma * c ** 2, axis=(-2, -1) if basis.is_2d else -1)
-    return np.sqrt(sq)
+    flat = c2.reshape(c2.shape[:c2.ndim - lam.ndim] + (-1,))
+    orders = gamma if np.ndim(gamma) else (gamma,)
+    norms = [np.sqrt(flat @ (lam ** g).ravel()) for g in orders]
+    return norms if np.ndim(gamma) else norms[0]
 
 
 # -- diagonal trace and its discrete adjoint --------------------------------
@@ -238,8 +240,12 @@ class ImplicitStepper:
 
     Exact for the discrete operator, unconditionally stable (the spectrum
     of the resolvent lies in (0, 1]), and batched over leading axes.  On
-    the square the resolvent of the Kronecker-sum operator factors through
-    the same 1D eigenvectors.
+    the square the resolvent of the Kronecker-sum operator is factored as
+    the tensor square of the 1D resolvent matrix R = V diag(d1) V^T, so the
+    2D solve is R X R: one 2D step agrees with the outer product of two 1D
+    steps (the discrete product rule is exact).  It differs from
+    1/(1 + dt (l_i + l_j)) at O(dt^2) and is likewise unconditionally
+    stable.
     """
 
     def __init__(self, grid: Grid1D, op: EllipticOperator, dt: float):
@@ -249,19 +255,12 @@ class ImplicitStepper:
         self.V = basis.vectors
         self.lam = basis.eigenvalues
         self._d1 = 1.0 / (1.0 + dt * self.lam)
-        # factored resolvent for the Kronecker-sum operator: exactly the
-        # tensor square of the 1D resolvent, so one 2D step agrees with the
-        # outer product of two 1D steps (the discrete product rule is
-        # exact); differs from 1/(1 + dt (l_i + l_j)) at O(dt^2) and is
-        # likewise unconditionally stable.
-        self._d2 = np.outer(self._d1, self._d1)
+        self._R = (self.V * self._d1) @ self.V.T
 
     def solve1(self, rhs: np.ndarray) -> np.ndarray:
         """(..., n) solve of (I - dt A) x = rhs."""
         return ((rhs @ self.V) * self._d1) @ self.V.T
 
     def solve2(self, rhs: np.ndarray) -> np.ndarray:
-        """(..., n, n) solve with the Kronecker-sum operator."""
-        c = np.swapaxes(np.swapaxes(rhs, -1, -2) @ self.V, -1, -2) @ self.V
-        c *= self._d2
-        return np.swapaxes(np.swapaxes(c, -1, -2) @ self.V.T, -1, -2) @ self.V.T
+        """(..., n, n) solve with the Kronecker-sum operator: R X R."""
+        return self._R @ rhs @ self._R

@@ -150,12 +150,17 @@ def check_duality2(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
     pair1 = solve_adjoint1(scn, xbar, ubar, ens, method=method,
                            reg_basis=reg_basis, store=True)
     rhs_acc = np.zeros((len(probes), m))
+    # probe sources flattened per step, Psi mode-major to match Q's storage
+    phi_flat = [Phi.reshape(len(Phi), -1) for Phi, _ in probes]
+    psi_flat = [np.moveaxis(Psi, 3, 1).reshape(len(Psi), -1)
+                for _, Psi in probes]
 
     def backward_hook(k, P, Q):
-        for j, (Phi, Psi) in enumerate(probes):
-            rhs_acc[j] += dt * h ** 2 * (
-                np.einsum("pij,ij->p", P, Phi[k])
-                + np.einsum("pijk,ijk->p", Q, Psi[k]))
+        P_flat = P.reshape(m, -1)
+        Q_flat = np.moveaxis(Q, 3, 1).reshape(m, -1)
+        for j in range(len(probes)):
+            rhs_acc[j] += dt * h ** 2 * (P_flat @ phi_flat[j][k]
+                                         + Q_flat @ psi_flat[j][k])
 
     solve_adjoint2_mollified(scn, xbar, ubar, ens, pair1, eta, method=method,
                              reg_basis=reg_basis, step_hook=backward_hook)

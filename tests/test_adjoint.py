@@ -5,7 +5,7 @@ import pytest
 
 from helpers import make_scenario
 from spde_control.adjoint import (RegressionBasis, RegressionError, _project,
-                                  solve_adjoint1, solve_adjoint2_limit,
+                                  _qcouple, solve_adjoint1, solve_adjoint2_limit,
                                   solve_adjoint2_mollified, terminal_distance)
 from spde_control.ensemble import PathEnsemble
 from spde_control.forward import simulate_state
@@ -110,6 +110,17 @@ def test_ansatz_oracle_requires_affine_preset():
 
 
 # -- second-order pair -------------------------------------------------------
+
+def test_martingale_coupling_matches_einsum_formula():
+    gen = np.random.Generator(np.random.Philox(key=43))
+    sx = gen.normal(size=(6, 10, 3))
+    Qk = gen.normal(size=(6, 3, 10, 10))
+    Q = np.moveaxis(Qk, 1, 3)
+    ref = (np.einsum("pik,pijk->pij", sx, Q)
+           + np.einsum("pjk,pijk->pij", sx, Q))
+    out = _qcouple(sx, Qk)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
 
 def test_second_order_solution_is_symmetric():
     scn = make_scenario("bilinear", n=8, n_t=32)

@@ -4,7 +4,10 @@ import os
 
 import pytest
 
+from spde_control import verify
+from spde_control.adjoint import RegressionError
 from spde_control.cli import _parse_eta, _parse_ladder, main
+from spde_control.forward import BlowUpError
 from spde_control.scenario import ConfigError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -105,6 +108,40 @@ def test_degenerate_rates_reports_undefined_slopes(tmp_path, capsys):
     assert "note=slope-undefined-statistic-identically-0" in out
     slopes = (tmp_path / "rates-degenerate-s3" / "slopes.csv").read_text()
     assert "undefined" in slopes
+
+
+@pytest.mark.parametrize("argv, target, exc, verdicts", [
+    (("duality", "--scenario", fixture("additive.cfg")), "check_duality1",
+     BlowUpError(3), ["duality1"]),
+    (("smp", "--scenario", fixture("bilinear.cfg")), "smp_scan",
+     RegressionError("ill-conditioned"), ["smp"]),
+    (("oracle", "--scenario", fixture("zero_noise.cfg")), "zero_noise_oracle",
+     BlowUpError(5), ["oracle-zero-noise"]),
+    (("rates", "--scenario", fixture("logistic_spike.cfg"), "--kind", "all"),
+     "rate_experiment", BlowUpError(7),
+     ["rates-y", "rates-z", "rates-residual", "rates-hgamma"]),
+], ids=["duality", "smp", "oracle", "rates"])
+def test_failed_computation_prints_failing_verdict(tmp_path, capsys,
+                                                   monkeypatch, argv, target,
+                                                   exc, verdicts):
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(verify, target, boom)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 1
+    assert f"error: {exc}" in err
+    lines = out.splitlines()
+    assert len(lines) == len(verdicts)
+    for line, name in zip(lines, verdicts):
+        assert line.startswith(f"VERDICT experiment={name} status=fail "
+                               "statistic=nan tolerance=")
+
+
+def test_threads_flag_is_rejected(tmp_path, capsys):
+    code, _, _ = run(capsys, "simulate", "--scenario", fixture("bilinear.cfg"),
+                     "--threads", "2", "--out", str(tmp_path))
+    assert code == 2
 
 
 def test_unknown_flag_is_usage_error(tmp_path, capsys):

@@ -7,7 +7,8 @@ from spde_control.ensemble import PathEnsemble
 from spde_control.forward import (BlowUpError, cost, first_variation_system,
                                   probe_system, simulate_cost, simulate_linear,
                                   simulate_state, simulate_tensor,
-                                  spike_expansion_stats)
+                                  spike_expansion_stats, tensor_drift,
+                                  tensor_noise)
 from spde_control.operators import SpectralBasis
 from spde_control.scenario import DeterministicControl, SpikeControl
 from spde_control.verify import make_tensor_probes, zero_noise_oracle
@@ -102,6 +103,33 @@ def test_tensor_simulation_preserves_symmetry():
                         psi=lambda k: np.broadcast_to(Psi[k], (m, n, n, K)))
     asym = np.abs(Y.values - np.swapaxes(Y.values, -1, -2)).max()
     assert asym < 1e-10
+
+
+def test_collapsed_tensor_noise_matches_per_mode_loop():
+    gen = np.random.Generator(np.random.Philox(key=41))
+    m, n, K = 5, 9, 3
+    sx, psik = gen.normal(size=(m, n, K)), gen.normal(size=(m, n, n, K))
+    dwk, Y = gen.normal(size=(m, K)), gen.normal(size=(m, n, n))
+    ref = np.zeros((m, n, n))
+    for mode in range(K):
+        dmode = sx[:, :, mode][:, :, None] + sx[:, :, mode][:, None, :]
+        ref += (dmode * Y + psik[..., mode]) * dwk[:, mode][:, None, None]
+    out = tensor_noise(sx, dwk, Y, psik)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+    ref0 = ref - np.einsum("pijk,pk->pij", psik, dwk)
+    out0 = tensor_noise(sx, dwk, Y)
+    assert np.max(np.abs(out0 - ref0)) <= 1e-13 * np.max(np.abs(ref0))
+    bx = gen.normal(size=(m, n))
+    c = bx[:, :, None] + bx[:, None, :] + np.einsum("pik,pjk->pij", sx, sx)
+    assert np.max(np.abs(tensor_drift(bx, sx) - c)) <= 1e-13 * np.max(np.abs(c))
+
+
+def test_cost_sweep_returns_the_terminal_state():
+    scn = make_scenario("bilinear", n=8, n_t=32)
+    ens = PathEnsemble.for_scenario(scn, n_paths=25)
+    est = simulate_cost(scn, scn.base_control, ens)
+    traj = simulate_state(scn, scn.base_control, ens, store=False)
+    assert np.array_equal(est.final, traj.final)
 
 
 def test_control_only_cost_is_exact():

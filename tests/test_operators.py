@@ -209,6 +209,46 @@ def test_stepper_tensor_solve_factorizes():
                        atol=1e-12)
 
 
+def _solve2_reference(stepper, rhs):
+    """The 2D solve as four eigenbasis transforms and a diagonal scaling."""
+    V, d2 = stepper.V, np.outer(stepper._d1, stepper._d1)
+    c = np.swapaxes(np.swapaxes(rhs, -1, -2) @ V, -1, -2) @ V
+    c = c * d2
+    return np.swapaxes(np.swapaxes(c, -1, -2) @ V.T, -1, -2) @ V.T
+
+
+@pytest.mark.parametrize("kind", ["laplacian", "divergence_form"])
+@pytest.mark.parametrize("layout", ["batch", "modes", "moved-view"])
+def test_resolvent_matmul_matches_transform_reference(kind, layout):
+    grid = Grid1D(0.0, 1.0, 12)
+    op = EllipticOperator() if kind == "laplacian" else _div_form_op(grid)
+    stepper = ImplicitStepper(grid, op, 0.03)
+    gen = _rng(31)
+    if layout == "batch":
+        rhs = gen.normal(size=(7, 12, 12))
+    elif layout == "modes":
+        rhs = gen.normal(size=(7, 2, 12, 12))
+    else:
+        rhs = np.moveaxis(gen.normal(size=(7, 12, 12, 2)), 3, 1)
+        assert not rhs.flags["C_CONTIGUOUS"]
+    ref = _solve2_reference(stepper, rhs)
+    out = stepper.solve2(rhs)
+    assert out.shape == ref.shape
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("is_2d", [False, True])
+def test_multi_order_norms_equal_single_order_calls(is_2d):
+    grid = Grid1D(0.0, 1.0, 10)
+    basis = SpectralBasis.build(grid.square() if is_2d else grid)
+    v = _rng(37).normal(size=(6, 10, 10) if is_2d else (6, 10))
+    orders = (-1.0, 0.0, 0.5)
+    multi = sobolev_norms_batch(v, basis, orders)
+    assert len(multi) == len(orders)
+    for g, norms in zip(orders, multi):
+        assert np.array_equal(norms, sobolev_norms_batch(v, basis, g))
+
+
 def test_stepper_is_a_contraction():
     grid = Grid1D(0.0, 1.0, 12)
     for dt in (1e-4, 0.1, 10.0):
