@@ -13,7 +13,7 @@ from .operators import (EllipticOperator, ImplicitStepper,
                         delta_star, delta_trace, heat_mollifier, sobolev_norm,
                         sobolev_norms_batch)
 from .scenario import (ConfigError, ControlSet, CoefficientSet,
-                       DeterministicControl, FeedbackControl, NoiseModel,
+                       DeterministicControl, NoiseModel,
                        Scenario, ScenarioValidationError, SpikeControl,
                        load_scenario, make_coefficients, validate_coefficients)
 from .ensemble import PathEnsemble

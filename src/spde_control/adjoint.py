@@ -7,9 +7,12 @@ least-squares regression on spectral features of the current state
 regressing p_{k+1} dW_k / dt on the same features.
 
 The second-order pair lives on the square; its terminal condition is the
-heat-kernel mollification of the diagonal curvature distribution, and the
-solver exposes a step hook so that pairings with forward sources can be
-accumulated during the sweep without storing the backward trajectory.
+heat-kernel mollification of the diagonal curvature distribution.  A single
+width (solve_adjoint2_mollified) and a vanishing-width ladder
+(solve_adjoint2_limit) run one backward kernel that marches every width in
+lockstep.  Both solvers expose a step hook so that pairings with forward
+sources can be accumulated during the sweep without storing the backward
+trajectory.
 """
 from __future__ import annotations
 
@@ -99,6 +102,33 @@ def _mean_project(target: np.ndarray) -> np.ndarray:
     return np.broadcast_to(target.mean(axis=0), target.shape)
 
 
+def _regression_basis(scn: Scenario, m: int, method: str,
+                      reg_basis: Optional[RegressionBasis]):
+    """Validate the conditional-expectation method and return the basis the
+    sweep regresses on (the default one for "regress" if none is given).
+
+    A basis with more than M / 20 features is refused: the regression error
+    grows like F / M (Gobet, Lemor & Warin 2005).
+    """
+    if method not in ("regress", "mean"):
+        raise ValueError(f"unknown conditional-expectation method {method!r}")
+    if method == "regress" and reg_basis is None:
+        reg_basis = RegressionBasis(scn.grid, scn.op)
+    if reg_basis is not None and reg_basis.n_features > max(m // 20, 2):
+        raise RegressionError(
+            f"{reg_basis.n_features} features for {m} paths; need M >= 20 F")
+    return reg_basis
+
+
+def _curvature(scn: Scenario, x: np.ndarray, uk, p: np.ndarray,
+               q: np.ndarray) -> np.ndarray:
+    """Curvature of the Hamiltonian along x, l_xx + b_xx p + <sigma_xx, q>,
+    with the first-order pair (p, q) at the same step; shape (M, n)."""
+    return (scn.coeffs.l_xx(x, uk)
+            + scn.coeffs.b_xx(x, uk) * p
+            + np.einsum("pnk,pnk->pn", scn.sigma_xx_eff(x, uk), q))
+
+
 def _qcouple(sx: np.ndarray, Qk: np.ndarray) -> np.ndarray:
     """sum_k (sx_k (+) sx_k) Q_k: the martingale coupling of the
     second-order adjoint, from sx (M, n, K) and Qk (M, K, n, n)."""
@@ -131,14 +161,8 @@ def solve_adjoint1(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
     them, duality against the forward scheme holds exactly up to the
     regression error.
     """
-    if method not in ("regress", "mean"):
-        raise ValueError(f"unknown conditional-expectation method {method!r}")
     m, n, K = ens.n_paths, scn.grid.n, scn.n_modes
-    if method == "regress" and reg_basis is None:
-        reg_basis = RegressionBasis(scn.grid, scn.op)
-    if reg_basis is not None and reg_basis.n_features > max(m // 20, 2):
-        raise RegressionError(
-            f"{reg_basis.n_features} features for {m} paths; need M >= 20 F")
+    reg_basis = _regression_basis(scn, m, method, reg_basis)
     stepper = _stepper(scn)
     p = scn.coeffs.h_x(xbar.final)
     p_store = np.empty((scn.n_t + 1, m, n)) if store else None
@@ -190,6 +214,72 @@ class BackwardPair2:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _sweep2(scn, xbar, ubar, ens, pair1, etas, method, reg_basis,
+            store_steps, step_hook):
+    """Backward sweep of the mollified second-order pair with every width
+    in etas marching in lockstep, so memory stays at a few (M, n, n) blocks
+    per width and the squared Cauchy increments between consecutive widths
+    stream step by step.  store_steps, step_hook and max_asymmetry apply to
+    the last width.  Returns the per-width P_0 and a-priori statistics, the
+    squared increments, the stored steps and the diagnostics.
+    """
+    reg_basis = _regression_basis(scn, ens.n_paths, method, reg_basis)
+    stepper = _stepper(scn)
+    basis2 = SpectralBasis.build(scn.grid.square(), scn.op)
+    h, dt = scn.grid.h, scn.dt
+    idx = np.arange(scn.grid.n)
+    last = len(etas) - 1
+    Ps = [mollified_terminal_batch(xbar.final, scn.coeffs.h_xx, scn.grid, eta)
+          for eta in etas]
+    sup_hm1 = [float(np.mean(sobolev_norms_batch(P, basis2, -1.0) ** 2))
+               for P in Ps]
+    int_l2 = [0.0] * len(etas)
+    cauchy_sq = [0.0] * last
+    stored = {}
+    max_cond = max_asym = 0.0
+    for k in range(scn.n_t - 1, -1, -1):
+        x = xbar[k]
+        uk = ubar.evaluate(k, scn, x)
+        feats = reg_basis.features(x) if method == "regress" else None
+        sx = scn.sigma_x_eff(x, uk)
+        c = tensor_drift(scn.coeffs.b_x(x, uk), sx)
+        # the source is the diagonal embedding of the curvature
+        diag_source = _curvature(scn, x, uk, pair1.p[k], pair1.q[k]) / h
+        dwk = ens.dW[:, k][:, :, None, None]
+        for i, P in enumerate(Ps):
+            mart = P[:, None] * dwk  # (M, K, n, n)
+            if method == "mean":
+                Phat, Qhat = _mean_project(P), _mean_project(mart)
+            else:
+                Phat, c1 = _project(feats, P)
+                Qhat, c2 = _project(feats, mart)
+                max_cond = max(max_cond, c1, c2)
+            Qhat = Qhat / dt  # rebound: the unscaled block is freed before the solve
+            # resolvent first (exact discrete adjoint), explicit terms second
+            Mk = stepper.solve2(Phat)
+            Qk = stepper.solve2(Qhat)
+            rate = c * Mk
+            rate += _qcouple(sx, Qk)
+            rate[:, idx, idx] += diag_source
+            P = Ps[i] = Mk + dt * rate
+            hm1, l2 = sobolev_norms_batch(P, basis2, (-1.0, 0.0))
+            sup_hm1[i] = max(sup_hm1[i], float(np.mean(hm1 ** 2)))
+            int_l2[i] += dt * float(np.mean(l2 ** 2))
+        max_asym = max(max_asym, float(np.max(np.abs(P - np.swapaxes(P, 1, 2)))))
+        if k in store_steps:
+            stored[k] = P.copy()
+        if step_hook is not None:
+            step_hook(k, Mk, np.moveaxis(Qk, 1, 3))
+        # time-L2 Cauchy increments over the left endpoints k = 0 .. n_t - 1
+        for i in range(last):
+            sq = h ** 2 * np.sum((Ps[i] - Ps[i + 1]) ** 2, axis=(-2, -1))
+            cauchy_sq[i] += dt * float(np.mean(sq))
+    stats = [s + l2 for s, l2 in zip(sup_hm1, int_l2)]
+    diag = {"max_gram_condition": max_cond, "max_asymmetry": max_asym,
+            "method": method}
+    return Ps, stats, cauchy_sq, stored, diag
+
+
 def solve_adjoint2_mollified(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
                              ens: PathEnsemble, pair1: BackwardPair1, eta: float,
                              method: str = "regress",
@@ -205,58 +295,13 @@ def solve_adjoint2_mollified(scn: Scenario, xbar: Trajectory, ubar: ControlProce
     is what source pairings must use for exact discrete duality.
 
     The a-priori statistic sup_k E ||P_k||_{H^-1}^2 + E sum dt ||P_k||_{L2}^2
-    is accumulated during the sweep.
+    is accumulated during the sweep.  This is the lockstep kernel of
+    solve_adjoint2_limit run at the single width eta.
     """
-    if method not in ("regress", "mean"):
-        raise ValueError(f"unknown conditional-expectation method {method!r}")
-    m, n = ens.n_paths, scn.grid.n
-    if method == "regress" and reg_basis is None:
-        reg_basis = RegressionBasis(scn.grid, scn.op)
-    stepper = _stepper(scn)
-    basis2 = SpectralBasis.build(scn.grid.square(), scn.op)
-    P = mollified_terminal_batch(xbar.final, scn.coeffs.h_xx, scn.grid, eta)
-    stored = {}
-    sup_hm1 = float(np.mean(sobolev_norms_batch(P, basis2, -1.0) ** 2))
-    int_l2 = 0.0
-    max_cond = 0.0
-    max_asym = 0.0
-    h = scn.grid.h
-    for k in range(scn.n_t - 1, -1, -1):
-        x = xbar[k]
-        uk = ubar.evaluate(k, scn, x)
-        mart = P[:, None] * ens.dW[:, k][:, :, None, None]  # (M, K, n, n)
-        if method == "mean":
-            Phat = _mean_project(P)
-            Qhat = _mean_project(mart) / scn.dt
-        else:
-            feats = reg_basis.features(x)
-            Phat, c1 = _project(feats, P)
-            Qhat, c2 = _project(feats, mart)
-            Qhat = Qhat / scn.dt
-            max_cond = max(max_cond, c1, c2)
-        # resolvent first (exact discrete adjoint), explicit terms second
-        Mk = stepper.solve2(Phat)
-        Qk = stepper.solve2(Qhat)
-        sx = scn.sigma_x_eff(x, uk)
-        c = tensor_drift(scn.coeffs.b_x(x, uk), sx)
-        curv = (scn.coeffs.l_xx(x, uk)
-                + scn.coeffs.b_xx(x, uk) * pair1.p[k]
-                + np.einsum("pnk,pnk->pn", scn.sigma_xx_eff(x, uk), pair1.q[k]))
-        source = np.zeros((m, n, n))
-        idx = np.arange(n)
-        source[:, idx, idx] = curv / h
-        P = Mk + scn.dt * (c * Mk + _qcouple(sx, Qk) + source)
-        max_asym = max(max_asym, float(np.max(np.abs(P - np.swapaxes(P, 1, 2)))))
-        hm1, l2 = sobolev_norms_batch(P, basis2, (-1.0, 0.0))
-        sup_hm1 = max(sup_hm1, float(np.mean(hm1 ** 2)))
-        int_l2 += scn.dt * float(np.mean(l2 ** 2))
-        if k in store_steps:
-            stored[k] = P.copy()
-        if step_hook is not None:
-            step_hook(k, Mk, np.moveaxis(Qk, 1, 3))
-    diag = {"max_gram_condition": max_cond, "max_asymmetry": max_asym,
-            "method": method}
-    return BackwardPair2(eta, P, stored, sup_hm1 + int_l2, diag)
+    Ps, stats, _, stored, diag = _sweep2(scn, xbar, ubar, ens, pair1, [eta],
+                                         method, reg_basis, store_steps,
+                                         step_hook)
+    return BackwardPair2(eta, Ps[0], stored, stats[0], diag)
 
 
 @dataclass
@@ -291,79 +336,20 @@ def solve_adjoint2_limit(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
                          store_steps=(), step_hook: Callable = None) -> EtaLadderReport:
     """Solve the mollified pair along a decreasing ladder of widths.
 
-    Consecutive solutions are compared in L2([0, T] x paths; L2(square)) to
-    certify Cauchy behaviour; the finest-width pair is returned as the
-    limit representative.  step_hook applies to the finest sweep only.
+    All widths run through the one lockstep kernel that also serves
+    solve_adjoint2_mollified, so the finest pair equals a single-width
+    solve at that width bit for bit.  Consecutive solutions are compared in
+    L2([0, T] x paths; L2(square)) to certify Cauchy behaviour; the
+    finest-width pair is returned as the limit representative.  step_hook
+    applies to the finest sweep only.
     """
-    if method not in ("regress", "mean"):
-        raise ValueError(f"unknown conditional-expectation method {method!r}")
     etas = sorted(etas, reverse=True)
     if len(etas) < 2:
         raise ValueError("eta ladder needs at least two widths")
-    m, n = ens.n_paths, scn.grid.n
-    if method == "regress" and reg_basis is None:
-        reg_basis = RegressionBasis(scn.grid, scn.op)
-    stepper = _stepper(scn)
-    basis2 = SpectralBasis.build(scn.grid.square(), scn.op)
-    h = scn.grid.h
-    idx = np.arange(n)
-    n_eta = len(etas)
-    # all widths march backward in lockstep: memory stays at a few (M,n,n)
-    # blocks and the Cauchy increments stream step by step
-    Ps = [mollified_terminal_batch(xbar.final, scn.coeffs.h_xx, scn.grid, eta)
-          for eta in etas]
-    sup_hm1 = [float(np.mean(sobolev_norms_batch(P, basis2, -1.0) ** 2))
-               for P in Ps]
-    int_l2 = [0.0] * n_eta
-    cauchy_sq = [0.0] * (n_eta - 1)
-    stored = {}
-    max_cond = 0.0
-    max_asym = 0.0
-    for k in range(scn.n_t - 1, -1, -1):
-        x = xbar[k]
-        uk = ubar.evaluate(k, scn, x)
-        feats = reg_basis.features(x) if method == "regress" else None
-        sx = scn.sigma_x_eff(x, uk)
-        c = tensor_drift(scn.coeffs.b_x(x, uk), sx)
-        curv = (scn.coeffs.l_xx(x, uk)
-                + scn.coeffs.b_xx(x, uk) * pair1.p[k]
-                + np.einsum("pnk,pnk->pn", scn.sigma_xx_eff(x, uk), pair1.q[k]))
-        source = np.zeros((m, n, n))
-        source[:, idx, idx] = curv / h
-        dwk = ens.dW[:, k][:, :, None, None]
-        for i in range(n_eta):
-            P = Ps[i]
-            mart = P[:, None] * dwk
-            if method == "mean":
-                Phat = _mean_project(P)
-                Qhat = _mean_project(mart) / scn.dt
-            else:
-                Phat, c1 = _project(feats, P)
-                Qhat, c2 = _project(feats, mart)
-                Qhat = Qhat / scn.dt
-                max_cond = max(max_cond, c1, c2)
-            Mk = stepper.solve2(Phat)
-            Qk = stepper.solve2(Qhat)
-            P = Mk + scn.dt * (c * Mk + _qcouple(sx, Qk) + source)
-            Ps[i] = P
-            hm1, l2 = sobolev_norms_batch(P, basis2, (-1.0, 0.0))
-            sup_hm1[i] = max(sup_hm1[i], float(np.mean(hm1 ** 2)))
-            int_l2[i] += scn.dt * float(np.mean(l2 ** 2))
-            if i == n_eta - 1:
-                max_asym = max(max_asym, float(
-                    np.max(np.abs(P - np.swapaxes(P, 1, 2)))))
-                if k in store_steps:
-                    stored[k] = P.copy()
-                if step_hook is not None:
-                    step_hook(k, Mk, np.moveaxis(Qk, 1, 3))
-        # time-L2 Cauchy increments over the left endpoints k = 0 .. n_t - 1
-        for i in range(n_eta - 1):
-            sq = h ** 2 * np.sum((Ps[i] - Ps[i + 1]) ** 2, axis=(-2, -1))
-            cauchy_sq[i] += scn.dt * float(np.mean(sq))
-    stats = [s + l2 for s, l2 in zip(sup_hm1, int_l2)]
+    Ps, stats, cauchy_sq, stored, diag = _sweep2(
+        scn, xbar, ubar, ens, pair1, etas, method, reg_basis, store_steps,
+        step_hook)
     dists = [terminal_distance(scn, xbar.final, eta) for eta in etas]
     increments = [float(np.sqrt(v)) for v in cauchy_sq]
-    finest = BackwardPair2(etas[-1], Ps[-1], stored, stats[-1],
-                           {"max_gram_condition": max_cond,
-                            "max_asymmetry": max_asym, "method": method})
+    finest = BackwardPair2(etas[-1], Ps[-1], stored, stats[-1], diag)
     return EtaLadderReport(list(etas), stats, dists, increments, finest)

@@ -381,24 +381,6 @@ class SpikeControl(ControlProcess):
         return self.base.evaluate(k, scenario, x)
 
 
-class FeedbackControl(ControlProcess):
-    """Maps a binned scalar statistic of the current state (its spatial
-    mean) to a control point; adapted by construction."""
-
-    def __init__(self, bin_edges, points):
-        self.bin_edges = np.asarray(bin_edges, dtype=float)
-        self.points = np.asarray(points, dtype=float)
-        if len(self.points) != len(self.bin_edges) + 1:
-            raise ScenarioValidationError("feedback table needs one point per bin")
-
-    def evaluate(self, k, scenario, x=None):
-        if x is None:
-            raise ScenarioValidationError("feedback control needs the current state")
-        stat = scenario.grid.h * np.sum(x, axis=-1)
-        idx = np.searchsorted(self.bin_edges, np.atleast_1d(stat))
-        return self.points[idx]
-
-
 # -- scenario ---------------------------------------------------------------
 
 @dataclass
@@ -452,22 +434,6 @@ class Scenario:
 
     def sigma_xx_eff(self, x, u):
         return self._shaped(self.coeffs.sigma_xx(x, u))
-
-
-def eval_coefficient(cs: CoefficientSet, which: str, x: Field, u=None):
-    """Pointwise coefficient evaluation on a field; the sigma family
-    returns one Field per retained noise mode."""
-    fun = getattr(cs, which, None)
-    if fun is None or which in ("n_modes", "name", "params"):
-        raise ScenarioValidationError(f"unknown coefficient {which!r}")
-    if which.startswith("h"):
-        out = fun(x.values)
-    else:
-        out = fun(x.values, u)
-    out = np.asarray(out, dtype=float)
-    if which.startswith("sigma"):
-        return [Field(x.grid, out[..., k]) for k in range(cs.n_modes)]
-    return Field(x.grid, out)
 
 
 # -- config loading ---------------------------------------------------------

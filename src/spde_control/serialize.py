@@ -1,19 +1,12 @@
-"""On-disk formats for fields and trajectories.
+"""On-disk formats for fields and tensor fields.
 
 CSV (text):   header comment line, then rows ``index,coordinate,value``
               (tensor fields: ``i,j,coordinate_i,coordinate_j,value``,
               row-major over i then j).
-Binary:       little-endian; int64 node count n, then n float64 values
-              (tensor fields: n, then n*n values row-major).
-Trajectory:   little-endian header int64 (n, n_t, K, M, rank), then the
-              per-path blocks step-major as float64.
 
 All floats are written with %.17g so that a value round-trips exactly.
 """
 from __future__ import annotations
-
-import io
-import struct
 
 import numpy as np
 
@@ -67,48 +60,3 @@ def tensor_from_csv(text: str) -> TensorField:
         row = ln.split(",")
         values[int(row[0]), int(row[1])] = float(row[-1])
     return TensorField(Grid2D(grid), values)
-
-
-def field_to_bytes(f: Field) -> bytes:
-    return struct.pack("<q", f.grid.n) + f.values.astype("<f8").tobytes()
-
-
-def field_from_bytes(data: bytes, grid: Grid1D) -> Field:
-    (n,) = struct.unpack_from("<q", data)
-    if n != grid.n:
-        raise ValueError(f"binary block holds n={n}, grid has n={grid.n}")
-    values = np.frombuffer(data, dtype="<f8", count=n, offset=8)
-    return Field(grid, values.copy())
-
-
-def tensor_to_bytes(f: TensorField) -> bytes:
-    n = f.grid.n
-    return struct.pack("<q", n) + f.values.astype("<f8").tobytes()
-
-
-def tensor_from_bytes(data: bytes, grid: Grid2D) -> TensorField:
-    (n,) = struct.unpack_from("<q", data)
-    if n != grid.n:
-        raise ValueError(f"binary block holds n={n}, grid has n={grid.n}")
-    values = np.frombuffer(data, dtype="<f8", count=n * n, offset=8)
-    return TensorField(grid, values.reshape(n, n).copy())
-
-
-def trajectory_to_bytes(values: np.ndarray, n_modes: int) -> bytes:
-    """Serialize trajectory values of shape (n_t+1, M, n) or (n_t+1, M, n, n)."""
-    values = np.asarray(values)
-    rank = values.ndim - 2
-    n_t = values.shape[0] - 1
-    m = values.shape[1]
-    n = values.shape[2]
-    buf = io.BytesIO()
-    buf.write(struct.pack("<5q", n, n_t, n_modes, m, rank))
-    buf.write(values.astype("<f8").tobytes())
-    return buf.getvalue()
-
-
-def trajectory_from_bytes(data: bytes):
-    n, n_t, n_modes, m, rank = struct.unpack_from("<5q", data)
-    shape = (n_t + 1, m, n) if rank == 1 else (n_t + 1, m, n, n)
-    values = np.frombuffer(data, dtype="<f8", offset=40).reshape(shape).copy()
-    return values, n_modes

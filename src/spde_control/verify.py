@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as sps
 
-from .adjoint import (BackwardPair1, RegressionBasis, solve_adjoint1,
-                      solve_adjoint2_mollified)
+from .adjoint import (BackwardPair1, RegressionBasis, _curvature,
+                      solve_adjoint1, solve_adjoint2_mollified)
 from .ensemble import PathEnsemble
-from .forward import (BlowUpError, Trajectory, cost, first_variation_system,
+from .forward import (BlowUpError, Trajectory, first_variation_system,
                       probe_system, simulate_cost, simulate_linear,
                       simulate_state, simulate_tensor, spike_expansion_stats,
                       spike_tensor_sources)
@@ -176,11 +176,8 @@ def check_duality2(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
 
         def forward_hook(k, Y):
             x = xbar[k]
-            uk = ubar.evaluate(k, scn, x)
-            curv = (scn.coeffs.l_xx(x, uk)
-                    + scn.coeffs.b_xx(x, uk) * pair1.p[k]
-                    + np.einsum("pnk,pnk->pn", scn.sigma_xx_eff(x, uk),
-                                pair1.q[k]))
+            curv = _curvature(scn, x, ubar.evaluate(k, scn, x), pair1.p[k],
+                              pair1.q[k])
             # <delta_star(curv), Y> collapses to the diagonal of Y
             lhs_acc[:] += dt * h * np.sum(curv * Y[:, idx, idx], axis=-1)
 

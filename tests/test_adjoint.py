@@ -60,6 +60,20 @@ def test_too_many_features_for_the_ensemble_is_refused():
         solve_adjoint1(scn, xbar, scn.base_control, ens, reg_basis=basis)
 
 
+def test_second_order_sweeps_refuse_too_many_features():
+    scn = make_scenario("bilinear", n=8, n_t=8)
+    ens, xbar, pair1 = _solved(scn, 200)
+    basis = RegressionBasis(scn.grid, scn.op, n_modes=8, include_pairs=True)
+    assert basis.n_features > ens.n_paths // 20
+    h2 = scn.grid.h ** 2
+    with pytest.raises(RegressionError, match="need M"):
+        solve_adjoint2_mollified(scn, xbar, scn.base_control, ens, pair1,
+                                 eta=4 * h2, reg_basis=basis)
+    with pytest.raises(RegressionError, match="need M"):
+        solve_adjoint2_limit(scn, xbar, scn.base_control, ens, pair1,
+                             etas=[16 * h2, 4 * h2], reg_basis=basis)
+
+
 # -- first-order pair --------------------------------------------------------
 
 def test_costless_problem_has_zero_adjoint():
@@ -150,19 +164,32 @@ def test_second_order_matches_zero_noise_oracle():
         assert rel < 1e-2
 
 
-def test_ladder_finest_matches_single_width_solve():
+def _assert_ladder_finest_is_single_width_solve(method):
     scn = make_scenario("bilinear", n=8, n_t=32)
-    ens, xbar, pair1 = _solved(scn, 200)
+    ens, xbar, pair1 = _solved(scn, 200, method=method)
     h2 = scn.grid.h ** 2
     rep = solve_adjoint2_limit(scn, xbar, scn.base_control, ens, pair1,
-                               etas=[16 * h2, 4 * h2], store_steps={5})
+                               etas=[16 * h2, 4 * h2], method=method,
+                               store_steps={5})
     single = solve_adjoint2_mollified(scn, xbar, scn.base_control, ens, pair1,
-                                      eta=4 * h2, store_steps={5})
-    assert np.allclose(rep.finest.P0, single.P0, atol=1e-12)
-    assert rep.finest.apriori_stat == pytest.approx(single.apriori_stat)
-    assert np.allclose(rep.finest.stored_steps[5], single.stored_steps[5])
+                                      eta=4 * h2, method=method,
+                                      store_steps={5})
+    # one kernel serves both: the finest width is the single solve, bit for bit
+    assert np.array_equal(rep.finest.P0, single.P0)
+    assert np.array_equal(rep.finest.stored_steps[5], single.stored_steps[5])
+    assert rep.finest.apriori_stat == single.apriori_stat
+    assert (rep.finest.diagnostics["max_gram_condition"]
+            == single.diagnostics["max_gram_condition"])
     assert len(rep.cauchy_increments) == 1
     assert rep.cauchy_increments[0] > 0.0
+
+
+def test_ladder_finest_matches_single_width_solve():
+    _assert_ladder_finest_is_single_width_solve("regress")
+
+
+def test_ladder_finest_matches_single_width_solve_mean():
+    _assert_ladder_finest_is_single_width_solve("mean")
 
 
 def test_ladder_needs_at_least_two_widths():
@@ -190,3 +217,7 @@ def test_unknown_method_rejected():
     with pytest.raises(ValueError, match="method"):
         solve_adjoint2_mollified(scn, xbar, scn.base_control, ens, pair1,
                                  eta=scn.grid.h ** 2, method="krige")
+    with pytest.raises(ValueError, match="method"):
+        solve_adjoint2_limit(scn, xbar, scn.base_control, ens, pair1,
+                             etas=[4 * scn.grid.h ** 2, scn.grid.h ** 2],
+                             method="krige")

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from helpers import make_scenario
-from spde_control.grids import Field, Grid1D
+from spde_control.grids import Grid1D
 from spde_control.scenario import (ConfigError, ControlSet,
-                                   DeterministicControl, FeedbackControl,
-                                   NoiseModel, ScenarioValidationError,
-                                   SpikeControl, eval_coefficient,
+                                   DeterministicControl, NoiseModel,
+                                   ScenarioValidationError, SpikeControl,
                                    load_scenario, make_coefficients,
                                    sine_mode_shapes, validate_coefficients)
 
@@ -51,17 +50,6 @@ def test_sigma_returns_per_mode_values():
     out = cs.sigma(np.zeros(7), np.array([0.0]))
     assert out.shape == (7, 3)
     assert np.allclose(out, 0.5)
-
-
-def test_eval_coefficient_fields():
-    grid = Grid1D(0.0, 1.0, 8)
-    cs = make_coefficients("bilinear", 2)
-    x = Field(grid, np.linspace(0.1, 0.8, 8))
-    fields = eval_coefficient(cs, "sigma", x, np.array([0.5]))
-    assert len(fields) == 2
-    assert fields[0].grid == grid
-    with pytest.raises(ScenarioValidationError):
-        eval_coefficient(cs, "params", x)
 
 
 # -- control sets / processes ------------------------------------------------
@@ -117,16 +105,6 @@ def test_block_control_table():
     assert [u.evaluate(k, None)[0] for k in range(6)] == [0, 0, 0, 1, 1, 1]
     with pytest.raises(ScenarioValidationError):
         DeterministicControl.from_blocks([(0.0,), (1.0,), (2.0,)], n_t=7)
-
-
-def test_feedback_control_binning():
-    scn = make_scenario(n=4, n_t=4)
-    fb = FeedbackControl(bin_edges=[0.0], points=[(-1.0,), (1.0,)])
-    lo = fb.evaluate(0, scn, -np.ones((3, 4)))
-    hi = fb.evaluate(0, scn, np.ones((3, 4)))
-    assert np.all(lo[:, 0] == -1.0) and np.all(hi[:, 0] == 1.0)
-    with pytest.raises(ScenarioValidationError):
-        fb.evaluate(0, scn, None)
 
 
 def test_mode_shapes_orthonormal():

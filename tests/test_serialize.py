@@ -1,14 +1,9 @@
-"""Serialization round trips for fields, tensors and trajectories."""
+"""CSV round trips for fields and tensor fields."""
 import numpy as np
-import pytest
 
 from spde_control.grids import Field, Grid1D, TensorField
-from spde_control.serialize import (field_from_bytes, field_from_csv,
-                                    field_to_bytes, field_to_csv,
-                                    tensor_from_bytes, tensor_from_csv,
-                                    tensor_to_bytes, tensor_to_csv,
-                                    trajectory_from_bytes,
-                                    trajectory_to_bytes)
+from spde_control.serialize import (field_from_csv, field_to_csv,
+                                    tensor_from_csv, tensor_to_csv)
 
 
 def _rng():
@@ -34,29 +29,3 @@ def test_tensor_csv_round_trip_exact():
     w = TensorField(grid, _rng().normal(size=(5, 5)))
     out = tensor_from_csv(tensor_to_csv(w))
     assert np.array_equal(out.values, w.values)
-
-
-def test_field_binary_round_trip():
-    grid = Grid1D(0.0, 1.0, 9)
-    f = Field(grid, _rng().normal(size=9))
-    g = field_from_bytes(field_to_bytes(f), grid)
-    assert np.array_equal(g.values, f.values)
-    with pytest.raises(ValueError, match="n="):
-        field_from_bytes(field_to_bytes(f), Grid1D(0.0, 1.0, 8))
-
-
-def test_tensor_binary_round_trip():
-    grid = Grid1D(0.0, 1.0, 6).square()
-    w = TensorField(grid, _rng().normal(size=(6, 6)))
-    out = tensor_from_bytes(tensor_to_bytes(w), grid)
-    assert np.array_equal(out.values, w.values)
-
-
-@pytest.mark.parametrize("rank", [1, 2])
-def test_trajectory_round_trip(rank):
-    shape = (5, 3, 4) if rank == 1 else (5, 3, 4, 4)
-    vals = _rng().normal(size=shape)
-    data = trajectory_to_bytes(vals, n_modes=2)
-    out, k = trajectory_from_bytes(data)
-    assert k == 2
-    assert np.array_equal(out, vals)
