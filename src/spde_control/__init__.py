@@ -17,9 +17,8 @@ from .scenario import (ConfigError, ControlSet, CoefficientSet,
                        Scenario, ScenarioValidationError, SpikeControl,
                        load_scenario, make_coefficients, validate_coefficients)
 from .ensemble import PathEnsemble
-from .forward import (BlowUpError, SourcedLinearSPDE, Trajectory, cost,
-                      first_variation_system, probe_system,
-                      second_variation_system, simulate_cost, simulate_linear,
+from .forward import (BlowUpError, Trajectory, cost, first_variation_system,
+                      probe_system, simulate_cost, simulate_linear,
                       simulate_state, simulate_tensor, spike_expansion_stats,
                       spike_tensor_sources)
 from .adjoint import (BackwardPair1, BackwardPair2, EtaLadderReport,

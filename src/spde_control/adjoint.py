@@ -98,8 +98,14 @@ def _project(feats: np.ndarray, target: np.ndarray):
     return (Qr @ (Qr.T @ flat)).reshape(target.shape), cond
 
 
-def _mean_project(target: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(target.mean(axis=0), target.shape)
+def _cond_mean(feats: Optional[np.ndarray], target: np.ndarray):
+    """Conditional mean of the target given the features, and the Gram
+    condition of the fit.  Without features (method "mean") it is the
+    ensemble mean as one (1, ...) block: the resolvent solves it once and
+    the caller broadcasts the result to the paths."""
+    if feats is None:
+        return target.mean(axis=0, keepdims=True), 0.0
+    return _project(feats, target)
 
 
 def _regression_basis(scn: Scenario, m: int, method: str,
@@ -174,18 +180,15 @@ def solve_adjoint1(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
         x = xbar[k]
         uk = ubar.evaluate(k, scn, x)
         mart = p[:, :, None] * ens.dW[:, k][:, None, :] / scn.dt  # (M, n, K)
-        if method == "mean":
-            phat = _mean_project(p)
-            qhat = _mean_project(mart)
-        else:
-            feats = reg_basis.features(x)
-            phat, c1 = _project(feats, p)
-            qhat, c2 = _project(feats, mart)
-            max_cond = max(max_cond, c1, c2)
+        feats = reg_basis.features(x) if method == "regress" else None
+        phat, c1 = _cond_mean(feats, p)
+        qhat, c2 = _cond_mean(feats, mart)
+        max_cond = max(max_cond, c1, c2)
         # exact discrete adjoint of the forward scheme: the resolvent hits
         # the conditional means first, then the explicit terms are added
-        mk = stepper.solve1(phat)
+        mk = np.broadcast_to(stepper.solve1(phat), p.shape)
         q = np.swapaxes(stepper.solve1(np.swapaxes(qhat, 1, 2)), 1, 2)
+        q = np.broadcast_to(q, mart.shape)
         drift = (scn.coeffs.b_x(x, uk) * mk
                  + np.einsum("pnk,pnk->pn", scn.sigma_x_eff(x, uk), q)
                  + scn.coeffs.l_x(x, uk))
@@ -248,16 +251,13 @@ def _sweep2(scn, xbar, ubar, ens, pair1, etas, method, reg_basis,
         dwk = ens.dW[:, k][:, :, None, None]
         for i, P in enumerate(Ps):
             mart = P[:, None] * dwk  # (M, K, n, n)
-            if method == "mean":
-                Phat, Qhat = _mean_project(P), _mean_project(mart)
-            else:
-                Phat, c1 = _project(feats, P)
-                Qhat, c2 = _project(feats, mart)
-                max_cond = max(max_cond, c1, c2)
+            Phat, c1 = _cond_mean(feats, P)
+            Qhat, c2 = _cond_mean(feats, mart)
+            max_cond = max(max_cond, c1, c2)
             Qhat = Qhat / dt  # rebound: the unscaled block is freed before the solve
             # resolvent first (exact discrete adjoint), explicit terms second
-            Mk = stepper.solve2(Phat)
-            Qk = stepper.solve2(Qhat)
+            Mk = np.broadcast_to(stepper.solve2(Phat), P.shape)
+            Qk = np.broadcast_to(stepper.solve2(Qhat), mart.shape)
             rate = c * Mk
             rate += _qcouple(sx, Qk)
             rate[:, idx, idx] += diag_source

@@ -41,22 +41,6 @@ class Trajectory:
         return self.values[k]
 
 
-@dataclass
-class SourcedLinearSPDE:
-    """Linearized dynamics along a reference path: multiplicative drift and
-    diffusion coefficients plus additive sources, all per time step.
-
-    The four members are per-step providers k -> array so that coefficient
-    trajectories need not be materialized; shapes are (M, n) for drift
-    pieces and (M, n, K) for diffusion pieces.
-    """
-
-    drift_coeff: Callable
-    diffusion_coeff: Callable
-    drift_source: Callable
-    diffusion_source: Callable
-
-
 def _stepper(scn: Scenario) -> ImplicitStepper:
     return ImplicitStepper(scn.grid, scn.op, scn.dt)
 
@@ -68,6 +52,20 @@ def _check_finite(x: np.ndarray, step: int):
 
 def _noise_sum(diffusion: np.ndarray, dw: np.ndarray) -> np.ndarray:
     return np.einsum("pnk,pk->pn", diffusion, dw)
+
+
+def _step1(stepper: ImplicitStepper, dt: float, y: np.ndarray, drift,
+           diffusion, dwk: np.ndarray) -> np.ndarray:
+    """One semi-implicit step on the interval from the explicit parts."""
+    return stepper.solve1(y + dt * drift + _noise_sum(diffusion, dwk))
+
+
+def _step_linear(stepper: ImplicitStepper, dt: float, y: np.ndarray, terms,
+                 dwk: np.ndarray) -> np.ndarray:
+    """One step of the sourced linear equation with terms (a, s, phi, psi):
+    drift a y + phi, diffusion s y + psi."""
+    a, s, phi, psi = terms
+    return _step1(stepper, dt, y, a * y + phi, s * y[..., None] + psi, dwk)
 
 
 def simulate_state(scn: Scenario, u: ControlProcess, ens: PathEnsemble,
@@ -90,19 +88,23 @@ def simulate_state(scn: Scenario, u: ControlProcess, ens: PathEnsemble,
         controls.append(np.asarray(uk, dtype=float))
         if step_hook is not None:
             step_hook(k, x, uk)
-        rhs = x + scn.dt * scn.coeffs.b(x, uk) \
-            + _noise_sum(scn.sigma_eff(x, uk), ens.dW[:, k])
-        x = stepper.solve1(rhs)
+        x = _step1(stepper, scn.dt, x, scn.coeffs.b(x, uk),
+                   scn.sigma_eff(x, uk), ens.dW[:, k])
         _check_finite(x, k + 1)
         if store:
             values[k + 1] = x
     return Trajectory(values, controls, x)
 
 
-def simulate_linear(scn: Scenario, sys: SourcedLinearSPDE, ens: PathEnsemble,
+def simulate_linear(scn: Scenario, sys: Callable, ens: PathEnsemble,
                     store: bool = True, step_hook: Callable = None) -> Trajectory:
     """Simulate a sourced linear equation (zero initial condition) with the
-    same semi-implicit scheme and frozen adapted coefficients."""
+    same semi-implicit scheme and frozen adapted coefficients.
+
+    sys(k) is called once per step and returns (a, s, phi, psi): the drift
+    multiplier (M, n), the diffusion multiplier (M, n, K) and the drift and
+    diffusion sources, which need only broadcast to those shapes.
+    """
     m, n = ens.n_paths, scn.grid.n
     stepper = _stepper(scn)
     y = np.zeros((m, n))
@@ -112,9 +114,7 @@ def simulate_linear(scn: Scenario, sys: SourcedLinearSPDE, ens: PathEnsemble,
     for k in range(scn.n_t):
         if step_hook is not None:
             step_hook(k, y)
-        drift = sys.drift_coeff(k) * y + sys.drift_source(k)
-        diffusion = sys.diffusion_coeff(k) * y[..., None] + sys.diffusion_source(k)
-        y = stepper.solve1(y + scn.dt * drift + _noise_sum(diffusion, ens.dW[:, k]))
+        y = _step_linear(stepper, scn.dt, y, sys(k), ens.dW[:, k])
         _check_finite(y, k + 1)
         if store:
             values[k + 1] = y
@@ -148,7 +148,8 @@ def simulate_tensor(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
     The elliptic part is the Kronecker-sum operator; the drift multiplier
     couples both coordinates of the reference state and the diffusion
     multiplier acts per retained noise mode.  phi/psi are per-step source
-    providers k -> (M, n, n) and k -> (M, n, n, K); None means zero.
+    providers k -> arrays broadcasting to (M, n, n) and (M, n, n, K);
+    None, or a None return, means zero.
     """
     m, n = ens.n_paths, scn.grid.n
     stepper = _stepper(scn)
@@ -175,92 +176,68 @@ def simulate_tensor(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
     return Trajectory(values, [], Y)
 
 
-# -- coefficient providers along a reference path ---------------------------
+# -- linearizations along a reference path ----------------------------------
 
-class _Memo:
-    """Caches the provider output for the most recent step index."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.k = None
-        self.val = None
-
-    def __call__(self, k):
-        if k != self.k:
-            self.val = self.fn(k)
-            self.k = k
-        return self.val
+def _first_variation(scn, x, ub, ue):
+    """First-order response terms at one step: the linearization b_x,
+    sigma_x along (x, ub), and the sources b(x, ue) - b(x, ub) and
+    sigma(x, ue) - sigma(x, ub) of the spiked control ue."""
+    a, s = scn.coeffs.b_x(x, ub), scn.sigma_x_eff(x, ub)
+    if ue is None:
+        return a, s, 0.0, 0.0
+    return (a, s, scn.coeffs.b(x, ue) - scn.coeffs.b(x, ub),
+            scn.sigma_eff(x, ue) - scn.sigma_eff(x, ub))
 
 
-def _spike_inactive(u: ControlProcess, k: int, scn: Scenario) -> bool:
-    return isinstance(u, SpikeControl) and not u.active(k, scn)
+def _second_variation(scn, x, ub, ue, y, a, s):
+    """Second-order response terms at one step, given the first-order
+    response y and the linearization (a, s) along (x, ub): quadratic
+    curvature sources in y plus, on the spike window, the derivative jumps
+    acting on y."""
+    phi = 0.5 * scn.coeffs.b_xx(x, ub) * y ** 2
+    psi = 0.5 * scn.sigma_xx_eff(x, ub) * (y ** 2)[..., None]
+    if ue is not None:
+        phi = phi + (scn.coeffs.b_x(x, ue) - a) * y
+        psi = psi + (scn.sigma_x_eff(x, ue) - s) * y[..., None]
+    return a, s, phi, psi
+
+
+def _spiked(ueps: ControlProcess, k: int, scn: Scenario, x):
+    """The spiked control at step k, or None off the spike window."""
+    if isinstance(ueps, SpikeControl) and not ueps.active(k, scn):
+        return None
+    return ueps.evaluate(k, scn, x)
 
 
 def first_variation_system(scn, xbar: Trajectory, ubar: ControlProcess,
-                           ueps: ControlProcess) -> SourcedLinearSPDE:
-    """Linearization along xbar sourced by the control perturbation: the
-    drift source is b(xbar, u_eps) - b(xbar, ubar) and analogously for the
+                           ueps: ControlProcess) -> Callable:
+    """Linearization along xbar sourced by the control perturbation, as a
+    system sys(k) -> (a, s, phi, psi) for simulate_linear: the drift
+    source is b(xbar, u_eps) - b(xbar, ubar) and analogously for the
     diffusion, both vanishing off the spike window."""
 
-    def terms(k):
+    def sys(k):
         x = xbar[k]
-        ub = ubar.evaluate(k, scn, x)
-        a = scn.coeffs.b_x(x, ub)
-        s = scn.sigma_x_eff(x, ub)
-        if _spike_inactive(ueps, k, scn):
-            return a, s, np.zeros_like(x), np.zeros_like(s)
-        ue = ueps.evaluate(k, scn, x)
-        phi = scn.coeffs.b(x, ue) - scn.coeffs.b(x, ub)
-        psi = scn.sigma_eff(x, ue) - scn.sigma_eff(x, ub)
-        return a, s, phi, psi
+        return _first_variation(scn, x, ubar.evaluate(k, scn, x),
+                                _spiked(ueps, k, scn, x))
 
-    memo = _Memo(terms)
-    return SourcedLinearSPDE(lambda k: memo(k)[0], lambda k: memo(k)[1],
-                             lambda k: memo(k)[2], lambda k: memo(k)[3])
-
-
-def second_variation_system(scn, xbar: Trajectory, ubar: ControlProcess,
-                            ueps: ControlProcess, y: Trajectory) -> SourcedLinearSPDE:
-    """Second-order response: quadratic curvature sources in the first
-    order response y plus the spike-window derivative jumps acting on y."""
-
-    def terms(k):
-        x = xbar[k]
-        yk = y[k]
-        ub = ubar.evaluate(k, scn, x)
-        a = scn.coeffs.b_x(x, ub)
-        s = scn.sigma_x_eff(x, ub)
-        phi = 0.5 * scn.coeffs.b_xx(x, ub) * yk ** 2
-        psi = 0.5 * scn.sigma_xx_eff(x, ub) * (yk ** 2)[..., None]
-        if not _spike_inactive(ueps, k, scn):
-            ue = ueps.evaluate(k, scn, x)
-            phi = phi + (scn.coeffs.b_x(x, ue) - a) * yk
-            psi = psi + (scn.sigma_x_eff(x, ue) - s) * yk[..., None]
-        return a, s, phi, psi
-
-    memo = _Memo(terms)
-    return SourcedLinearSPDE(lambda k: memo(k)[0], lambda k: memo(k)[1],
-                             lambda k: memo(k)[2], lambda k: memo(k)[3])
+    return sys
 
 
 def probe_system(scn, xbar: Trajectory, ubar: ControlProcess,
-                 phi: np.ndarray, psi: np.ndarray) -> SourcedLinearSPDE:
+                 phi: np.ndarray, psi: np.ndarray) -> Callable:
     """Linearization along xbar driven by deterministic probe sources
-    phi (n_t, n) and psi (n_t, n, K)."""
-    m = xbar[0].shape[0]
+    phi (n_t, n) and psi (n_t, n, K), as a system sys(k) -> (a, s, phi_k,
+    psi_k) for simulate_linear; the sources broadcast over the paths."""
     phi = np.asarray(phi, dtype=float)
     psi = np.asarray(psi, dtype=float)
 
-    def terms(k):
+    def sys(k):
         x = xbar[k]
         ub = ubar.evaluate(k, scn, x)
-        return (scn.coeffs.b_x(x, ub), scn.sigma_x_eff(x, ub),
-                np.broadcast_to(phi[k], x.shape),
-                np.broadcast_to(psi[k], x.shape + (scn.n_modes,)))
+        return scn.coeffs.b_x(x, ub), scn.sigma_x_eff(x, ub), phi[k], psi[k]
 
-    memo = _Memo(terms)
-    return SourcedLinearSPDE(lambda k: memo(k)[0], lambda k: memo(k)[1],
-                             lambda k: memo(k)[2], lambda k: memo(k)[3])
+    return sys
 
 
 def spike_tensor_sources(scn, xbar: Trajectory, ubar: ControlProcess,
@@ -271,31 +248,30 @@ def spike_tensor_sources(scn, xbar: Trajectory, ubar: ControlProcess,
     increments symmetrically in the two coordinates; they vanish off the
     spike window."""
 
-    def phi(k):
-        if _spike_inactive(ueps, k, scn):
-            return None
+    def terms(k):
         x = xbar[k]
+        ue = _spiked(ueps, k, scn, x)
+        return None if ue is None else _first_variation(
+            scn, x, ubar.evaluate(k, scn, x), ue)
+
+    def phi(k):
+        t = terms(k)
+        if t is None:
+            return None
+        _, sx, db, ds = t
         yk = y[k]
-        ub = ubar.evaluate(k, scn, x)
-        ue = ueps.evaluate(k, scn, x)
-        db = scn.coeffs.b(x, ue) - scn.coeffs.b(x, ub)
-        ds = scn.sigma_eff(x, ue) - scn.sigma_eff(x, ub)
-        sxy = scn.sigma_x_eff(x, ub) * yk[..., None]
         out = yk[:, :, None] * db[:, None, :] + yk[:, None, :] * db[:, :, None]
         dsT = np.swapaxes(ds, 1, 2)
-        cross = sxy @ dsT
+        cross = (sx * yk[..., None]) @ dsT
         out += cross + np.swapaxes(cross, 1, 2)
         out += ds @ dsT
         return out
 
     def psi(k):
-        if _spike_inactive(ueps, k, scn):
+        t = terms(k)
+        if t is None:
             return None
-        x = xbar[k]
-        yk = y[k]
-        ub = ubar.evaluate(k, scn, x)
-        ue = ueps.evaluate(k, scn, x)
-        ds = scn.sigma_eff(x, ue) - scn.sigma_eff(x, ub)
+        ds, yk = t[3], y[k]
         return (ds[:, :, None, :] * yk[:, None, :, None]
                 + ds[:, None, :, :] * yk[:, :, None, None])
 
@@ -386,33 +362,17 @@ def spike_expansion_stats(scn: Scenario, ubar: ControlProcess, v, tau: float,
     for k in range(scn.n_t):
         ub = ubar.evaluate(k, scn, xb)
         ue = ueps.evaluate(k, scn, xe)
+        spike = ue if ueps.active(k, scn) else None
+        lin = _first_variation(scn, xb, ub, spike)
+        quad = _second_variation(scn, xb, ub, spike, y, lin[0], lin[1])
         dwk = ens.dW[:, k]
-        bx = scn.coeffs.b_x(xb, ub)
-        sx = scn.sigma_x_eff(xb, ub)
-        if _spike_inactive(ueps, k, scn):
-            phi1 = 0.0
-            psi1 = 0.0
-            phi2 = 0.5 * scn.coeffs.b_xx(xb, ub) * y ** 2
-            psi2 = 0.5 * scn.sigma_xx_eff(xb, ub) * (y ** 2)[..., None]
-        else:
-            phi1 = scn.coeffs.b(xb, ue) - scn.coeffs.b(xb, ub)
-            psi1 = scn.sigma_eff(xb, ue) - scn.sigma_eff(xb, ub)
-            phi2 = (0.5 * scn.coeffs.b_xx(xb, ub) * y ** 2
-                    + (scn.coeffs.b_x(xb, ue) - bx) * y)
-            psi2 = (0.5 * scn.sigma_xx_eff(xb, ub) * (y ** 2)[..., None]
-                    + (scn.sigma_x_eff(xb, ue) - sx) * y[..., None])
-        rhs_b = xb + scn.dt * scn.coeffs.b(xb, ub) \
-            + _noise_sum(scn.sigma_eff(xb, ub), dwk)
-        rhs_e = xe + scn.dt * scn.coeffs.b(xe, ue) \
-            + _noise_sum(scn.sigma_eff(xe, ue), dwk)
-        rhs_y = y + scn.dt * (bx * y + phi1) \
-            + _noise_sum(sx * y[..., None] + psi1, dwk)
-        rhs_z = z + scn.dt * (bx * z + phi2) \
-            + _noise_sum(sx * z[..., None] + psi2, dwk)
-        xb = stepper.solve1(rhs_b)
-        xe = stepper.solve1(rhs_e)
-        y = stepper.solve1(rhs_y)
-        z = stepper.solve1(rhs_z)
+        xb, xe, y, z = (
+            _step1(stepper, scn.dt, xb, scn.coeffs.b(xb, ub),
+                   scn.sigma_eff(xb, ub), dwk),
+            _step1(stepper, scn.dt, xe, scn.coeffs.b(xe, ue),
+                   scn.sigma_eff(xe, ue), dwk),
+            _step_linear(stepper, scn.dt, y, lin, dwk),
+            _step_linear(stepper, scn.dt, z, quad, dwk))
         _check_finite(xe, k + 1)
         y_sq[k + 1] = h * np.sum(y ** 2, axis=-1)
         z_nrm[k + 1] = np.sqrt(h * np.sum(z ** 2, axis=-1))

@@ -7,7 +7,7 @@ a + (j + 1) h.  All quadrature is the h-weighted sum over interior nodes
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

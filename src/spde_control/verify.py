@@ -15,15 +15,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as sps
 
-from .adjoint import (BackwardPair1, RegressionBasis, _curvature,
-                      solve_adjoint1, solve_adjoint2_mollified)
+from .adjoint import (RegressionBasis, _curvature, solve_adjoint1,
+                      solve_adjoint2_mollified)
 from .ensemble import PathEnsemble
-from .forward import (BlowUpError, Trajectory, first_variation_system,
-                      probe_system, simulate_cost, simulate_linear,
-                      simulate_state, simulate_tensor, spike_expansion_stats,
+from .forward import (BlowUpError, first_variation_system, probe_system,
+                      simulate_cost, simulate_linear, simulate_state,
+                      simulate_tensor, spike_expansion_stats,
                       spike_tensor_sources)
-from .operators import mollified_terminal_batch
-from .scenario import ControlProcess, DeterministicControl, Scenario
+from .grids import Field
+from .operators import heat_mollifier, mollified_terminal_batch
+from .scenario import (ControlProcess, DeterministicControl, Scenario,
+                       SpikeControl)
 
 
 def _sine_matrix(n: int) -> np.ndarray:
@@ -72,6 +74,15 @@ def _gap(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / denom
 
 
+def _duality_row(j: int, lhs_acc: np.ndarray, rhs_acc: np.ndarray) -> dict:
+    """Report row of probe j from the per-path LHS and RHS pairings."""
+    m = len(lhs_acc)
+    lhs, rhs = float(lhs_acc.mean()), float(rhs_acc.mean())
+    return {"probe": j, "lhs": lhs, "rhs": rhs, "gap": _gap(lhs, rhs),
+            "lhs_se": float(lhs_acc.std(ddof=1) / np.sqrt(m)),
+            "rhs_se": float(rhs_acc.std(ddof=1) / np.sqrt(m))}
+
+
 def check_duality1(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
                    probes, method: str = "regress",
                    reg_basis: RegressionBasis = None) -> DualityReport:
@@ -104,12 +115,7 @@ def check_duality1(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
 
         traj = simulate_linear(scn, sys, ens, store=False, step_hook=forward_hook)
         lhs_acc += h * np.sum(hx_T * traj.final, axis=-1)
-        lhs, rhs = float(lhs_acc.mean()), float(rhs_acc[j].mean())
-        rows.append({
-            "probe": j, "lhs": lhs, "rhs": rhs, "gap": _gap(lhs, rhs),
-            "lhs_se": float(lhs_acc.std(ddof=1) / np.sqrt(m)),
-            "rhs_se": float(rhs_acc[j].std(ddof=1) / np.sqrt(m)),
-        })
+        rows.append(_duality_row(j, lhs_acc, rhs_acc[j]))
     return DualityReport(rows, max(r["gap"] for r in rows))
 
 
@@ -168,10 +174,7 @@ def check_duality2(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
     PT = mollified_terminal_batch(xbar.final, scn.coeffs.h_xx, scn.grid, eta)
     idx = np.arange(n)
     rows = []
-    K = scn.n_modes
     for j, (Phi, Psi) in enumerate(probes):
-        phi_p = lambda k, Phi=Phi: np.broadcast_to(Phi[k], (m, n, n))
-        psi_p = lambda k, Psi=Psi: np.broadcast_to(Psi[k], (m, n, n, K))
         lhs_acc = np.zeros(m)
 
         def forward_hook(k, Y):
@@ -181,15 +184,12 @@ def check_duality2(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
             # <delta_star(curv), Y> collapses to the diagonal of Y
             lhs_acc[:] += dt * h * np.sum(curv * Y[:, idx, idx], axis=-1)
 
-        traj = simulate_tensor(scn, xbar, ubar, ens, phi=phi_p, psi=psi_p,
+        traj = simulate_tensor(scn, xbar, ubar, ens,
+                               phi=lambda k, Phi=Phi: Phi[k],
+                               psi=lambda k, Psi=Psi: Psi[k],
                                store=False, step_hook=forward_hook)
         lhs_acc += h ** 2 * np.einsum("pij,pij->p", PT, traj.final)
-        lhs, rhs = float(lhs_acc.mean()), float(rhs_acc[j].mean())
-        rows.append({
-            "probe": j, "lhs": lhs, "rhs": rhs, "gap": _gap(lhs, rhs),
-            "lhs_se": float(lhs_acc.std(ddof=1) / np.sqrt(m)),
-            "rhs_se": float(rhs_acc[j].std(ddof=1) / np.sqrt(m)),
-        })
+        rows.append(_duality_row(j, lhs_acc, rhs_acc[j]))
     return DualityReport(rows, max(r["gap"] for r in rows))
 
 
@@ -197,8 +197,6 @@ def check_tensor_identity(scn: Scenario, ubar: ControlProcess, v, tau: float,
                           eps: float, ens: PathEnsemble) -> dict:
     """Pathwise consistency of the product process: its terminal value must
     agree with the outer square of the first-order spike response."""
-    from .scenario import SpikeControl
-
     xbar = simulate_state(scn, ubar, ens, store=True)
     ueps = SpikeControl(ubar, v, tau, eps)
     ueps.validate_horizon(scn.T)
@@ -471,8 +469,6 @@ def zero_noise_oracle(scn: Scenario, ubar: ControlProcess, eta: float = None):
 
     # backward mollified second-order equation (q == 0 in the zero-noise
     # case, so the <sigma_xx, q> part of the source is absent)
-    from .operators import heat_mollifier
-    from .grids import Field
     P = heat_mollifier(Field(scn.grid, x_fine[-1]), scn.coeffs.h_xx,
                        eta).values.copy()
     P_coarse = np.empty((n_t + 1, n, n))

@@ -9,6 +9,7 @@ from spde_control.adjoint import (RegressionBasis, RegressionError, _project,
                                   solve_adjoint2_mollified, terminal_distance)
 from spde_control.ensemble import PathEnsemble
 from spde_control.forward import simulate_state
+from spde_control.operators import ImplicitStepper
 from spde_control.verify import affine_ansatz_oracle, zero_noise_oracle
 
 
@@ -190,6 +191,29 @@ def test_ladder_finest_matches_single_width_solve():
 
 def test_ladder_finest_matches_single_width_solve_mean():
     _assert_ladder_finest_is_single_width_solve("mean")
+
+
+def test_mean_method_solves_one_block(monkeypatch):
+    # the ensemble mean is one block: the resolvent must not solve M copies
+    scn = make_scenario("bilinear", n=8, n_t=16)
+    ens = PathEnsemble.for_scenario(scn, n_paths=50)
+    xbar = simulate_state(scn, scn.base_control, ens)
+    sizes = []
+    for name in ("solve1", "solve2"):
+        orig = getattr(ImplicitStepper, name)
+
+        def record(self, rhs, orig=orig):
+            sizes.append(rhs.shape[0])
+            return orig(self, rhs)
+
+        monkeypatch.setattr(ImplicitStepper, name, record)
+    pair1 = solve_adjoint1(scn, xbar, scn.base_control, ens, method="mean")
+    pair2 = solve_adjoint2_mollified(scn, xbar, scn.base_control, ens, pair1,
+                                     eta=4.0 * scn.grid.h ** 2, method="mean")
+    assert len(sizes) == 4 * scn.n_t
+    assert set(sizes) == {1}
+    assert pair1.p.shape == (scn.n_t + 1, 50, 8)
+    assert pair2.P0.shape == (50, 8, 8)
 
 
 def test_ladder_needs_at_least_two_widths():

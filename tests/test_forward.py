@@ -4,8 +4,10 @@ import pytest
 
 from helpers import make_scenario
 from spde_control.ensemble import PathEnsemble
-from spde_control.forward import (BlowUpError, cost, first_variation_system,
-                                  probe_system, simulate_cost, simulate_linear,
+from spde_control.forward import (BlowUpError, _first_variation,
+                                  _second_variation, cost,
+                                  first_variation_system, probe_system,
+                                  simulate_cost, simulate_linear,
                                   simulate_state, simulate_tensor,
                                   spike_expansion_stats, tensor_drift,
                                   tensor_noise)
@@ -163,6 +165,33 @@ def test_spike_expansion_stats_sign_structure():
     assert st.hgamma > 0.0
     # the expansion residual is higher order than the response itself
     assert st.residual < st.y_moment
+
+
+def test_lockstep_stats_equal_the_variation_systems():
+    # spike_expansion_stats marches y and z with the same step and source
+    # formulas as simulate_linear on the variation systems, bit for bit
+    scn = make_scenario("logistic-drift", n=8, n_t=64, T=0.5)
+    ens = PathEnsemble.for_scenario(scn, n_paths=40)
+    ubar, h = scn.base_control, scn.grid.h
+    ueps = SpikeControl(ubar, [0.8], tau=0.1, eps=0.05)
+    xbar = simulate_state(scn, ubar, ens)
+    y = simulate_linear(scn, first_variation_system(scn, xbar, ubar, ueps),
+                        ens)
+
+    def second(k):
+        x = xbar[k]
+        ub = ubar.evaluate(k, scn, x)
+        ue = ueps.evaluate(k, scn, x) if ueps.active(k, scn) else None
+        a, s, _, _ = _first_variation(scn, x, ub, ue)
+        return _second_variation(scn, x, ub, ue, y[k], a, s)
+
+    z = simulate_linear(scn, second, ens)
+    st = spike_expansion_stats(scn, ubar, [0.8], tau=0.1, eps=0.05, ens=ens)
+    y_sq = h * np.sum(y.values ** 2, axis=-1)
+    z_nrm = np.sqrt(h * np.sum(z.values ** 2, axis=-1))
+    assert st.y_moment > 0.0 and st.z_moment > 0.0
+    assert float(y_sq.mean(axis=1).max()) == st.y_moment
+    assert float(z_nrm.mean(axis=1).max()) == st.z_moment
 
 
 def test_degenerate_spike_gives_identically_zero_stats():
