@@ -250,14 +250,14 @@ def _sweep2(scn, xbar, ubar, ens, pair1, etas, method, reg_basis,
         diag_source = _curvature(scn, x, uk, pair1.p[k], pair1.q[k]) / h
         dwk = ens.dW[:, k][:, :, None, None]
         for i, P in enumerate(Ps):
-            mart = P[:, None] * dwk  # (M, K, n, n)
             Phat, c1 = _cond_mean(feats, P)
-            Qhat, c2 = _cond_mean(feats, mart)
+            # the (M, K, n, n) martingale target is freed before the solves
+            Qhat, c2 = _cond_mean(feats, P[:, None] * dwk)
             max_cond = max(max_cond, c1, c2)
-            Qhat = Qhat / dt  # rebound: the unscaled block is freed before the solve
+            Qhat /= dt
             # resolvent first (exact discrete adjoint), explicit terms second
             Mk = np.broadcast_to(stepper.solve2(Phat), P.shape)
-            Qk = np.broadcast_to(stepper.solve2(Qhat), mart.shape)
+            Qk = np.broadcast_to(stepper.solve2(Qhat), dwk.shape[:2] + P.shape[1:])
             rate = c * Mk
             rate += _qcouple(sx, Qk)
             rate[:, idx, idx] += diag_source

@@ -13,10 +13,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _path_block(seed: int, path: int, n_steps: int, n_modes: int, dt: float) -> np.ndarray:
-    key = (int(seed) << 64) + path
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.standard_normal((n_steps, n_modes)) * np.sqrt(dt)
+def _path_blocks(seed: int, paths, n_steps: int, n_modes: int, dt: float) -> np.ndarray:
+    """Philox(key=(seed << 64) + path) blocks from one generator re-keyed per path."""
+    bitgen = np.random.Philox(key=int(seed) << 64)  # rejects keys out of range
+    start, gen = bitgen.state, np.random.Generator(bitgen)
+    out = np.empty((len(paths), n_steps, n_modes))
+    for i, path in enumerate(paths):
+        start["state"]["key"][0] = path
+        bitgen.state = start
+        out[i] = gen.standard_normal((n_steps, n_modes))
+    out *= np.sqrt(dt)
+    return out
 
 
 @dataclass
@@ -33,10 +40,8 @@ class PathEnsemble:
     @classmethod
     def generate(cls, seed: int, n_paths: int, n_steps: int, n_modes: int,
                  dt: float) -> "PathEnsemble":
-        dW = np.empty((n_paths, n_steps, n_modes))
-        for i in range(n_paths):
-            dW[i] = _path_block(seed, i, n_steps, n_modes, dt)
-        return cls(seed, n_paths, n_steps, n_modes, dt, dW)
+        return cls(seed, n_paths, n_steps, n_modes, dt,
+                   _path_blocks(seed, range(n_paths), n_steps, n_modes, dt))
 
     @classmethod
     def for_scenario(cls, scn, n_paths=None, seed=None) -> "PathEnsemble":
@@ -46,4 +51,5 @@ class PathEnsemble:
 
     def regenerate_path(self, path: int) -> np.ndarray:
         """Bit-exact reconstruction of one path's increment block."""
-        return _path_block(self.seed, path, self.n_steps, self.n_modes, self.dt)
+        return _path_blocks(self.seed, [path], self.n_steps, self.n_modes,
+                            self.dt)[0]

@@ -50,22 +50,28 @@ def _check_finite(x: np.ndarray, step: int):
         raise BlowUpError(step)
 
 
-def _noise_sum(diffusion: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    return np.einsum("pnk,pk->pn", diffusion, dw)
+def _node_noise(scn: Scenario, sig: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """sum_k (sig E_k) dW_k for a per-node diffusion sig (M, n) and the
+    noise profile E (n, K), without the (M, n, K) per-mode array."""
+    noise = (sig * scn.profile[:, 0]) * dw[:, 0, None]
+    for mode in range(1, scn.n_modes):
+        noise += (sig * scn.profile[:, mode]) * dw[:, mode, None]
+    return noise
 
 
 def _step1(stepper: ImplicitStepper, dt: float, y: np.ndarray, drift,
-           diffusion, dwk: np.ndarray) -> np.ndarray:
+           noise: np.ndarray) -> np.ndarray:
     """One semi-implicit step on the interval from the explicit parts."""
-    return stepper.solve1(y + dt * drift + _noise_sum(diffusion, dwk))
+    return stepper.solve1(y + dt * drift + noise)
 
 
 def _step_linear(stepper: ImplicitStepper, dt: float, y: np.ndarray, terms,
                  dwk: np.ndarray) -> np.ndarray:
     """One step of the sourced linear equation with terms (a, s, phi, psi):
-    drift a y + phi, diffusion s y + psi."""
+    drift a y + phi, per-mode diffusion s y + psi."""
     a, s, phi, psi = terms
-    return _step1(stepper, dt, y, a * y + phi, s * y[..., None] + psi, dwk)
+    return _step1(stepper, dt, y, a * y + phi,
+                  np.einsum("pnk,pk->pn", s * y[..., None] + psi, dwk))
 
 
 def simulate_state(scn: Scenario, u: ControlProcess, ens: PathEnsemble,
@@ -89,7 +95,7 @@ def simulate_state(scn: Scenario, u: ControlProcess, ens: PathEnsemble,
         if step_hook is not None:
             step_hook(k, x, uk)
         x = _step1(stepper, scn.dt, x, scn.coeffs.b(x, uk),
-                   scn.sigma_eff(x, uk), ens.dW[:, k])
+                   _node_noise(scn, scn.coeffs.sigma(x, uk), ens.dW[:, k]))
         _check_finite(x, k + 1)
         if store:
             values[k + 1] = x
@@ -132,7 +138,7 @@ def tensor_noise(sx: np.ndarray, dwk: np.ndarray, Y: np.ndarray,
     """(M, n, n) noise increment of the product-space equation,
     sum_k ((sx_k (+) sx_k) Y + psi_k) dW_k.  The multiplicative part
     collapses to (s (+) s) Y with s = sum_k sx_k dW_k, one pass over Y."""
-    s = _noise_sum(sx, dwk)
+    s = np.einsum("pnk,pk->pn", sx, dwk)
     noise = (s[:, :, None] + s[:, None, :]) * Y
     if psik is not None:
         for mode in range(dwk.shape[1]):
@@ -178,15 +184,17 @@ def simulate_tensor(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
 
 # -- linearizations along a reference path ----------------------------------
 
-def _first_variation(scn, x, ub, ue):
+def _first_variation(scn, x, ub, ue, base=None):
     """First-order response terms at one step: the linearization b_x,
     sigma_x along (x, ub), and the sources b(x, ue) - b(x, ub) and
-    sigma(x, ue) - sigma(x, ub) of the spiked control ue."""
+    sigma(x, ue) - sigma(x, ub) of the spiked control ue, reusing base =
+    (b(x, ub), per-node sigma(x, ub)) when given."""
     a, s = scn.coeffs.b_x(x, ub), scn.sigma_x_eff(x, ub)
     if ue is None:
         return a, s, 0.0, 0.0
-    return (a, s, scn.coeffs.b(x, ue) - scn.coeffs.b(x, ub),
-            scn.sigma_eff(x, ue) - scn.sigma_eff(x, ub))
+    b_b, sig_b = base or (scn.coeffs.b(x, ub), scn.coeffs.sigma(x, ub))
+    return (a, s, scn.coeffs.b(x, ue) - b_b,
+            scn.sigma_eff(x, ue) - scn._shaped(sig_b))
 
 
 def _second_variation(scn, x, ub, ue, y, a, s):
@@ -248,17 +256,16 @@ def spike_tensor_sources(scn, xbar: Trajectory, ubar: ControlProcess,
     increments symmetrically in the two coordinates; they vanish off the
     spike window."""
 
-    def terms(k):
+    def controls(k):
         x = xbar[k]
         ue = _spiked(ueps, k, scn, x)
-        return None if ue is None else _first_variation(
-            scn, x, ubar.evaluate(k, scn, x), ue)
+        return None if ue is None else (x, ubar.evaluate(k, scn, x), ue)
 
     def phi(k):
-        t = terms(k)
-        if t is None:
+        c = controls(k)
+        if c is None:
             return None
-        _, sx, db, ds = t
+        _, sx, db, ds = _first_variation(scn, *c)
         yk = y[k]
         out = yk[:, :, None] * db[:, None, :] + yk[:, None, :] * db[:, :, None]
         dsT = np.swapaxes(ds, 1, 2)
@@ -268,10 +275,11 @@ def spike_tensor_sources(scn, xbar: Trajectory, ubar: ControlProcess,
         return out
 
     def psi(k):
-        t = terms(k)
-        if t is None:
+        c = controls(k)
+        if c is None:
             return None
-        ds, yk = t[3], y[k]
+        x, ub, ue = c
+        ds, yk = scn.sigma_eff(x, ue) - scn.sigma_eff(x, ub), y[k]
         return (ds[:, :, None, :] * yk[:, None, :, None]
                 + ds[:, None, :, :] * yk[:, :, None, None])
 
@@ -363,14 +371,14 @@ def spike_expansion_stats(scn: Scenario, ubar: ControlProcess, v, tau: float,
         ub = ubar.evaluate(k, scn, xb)
         ue = ueps.evaluate(k, scn, xe)
         spike = ue if ueps.active(k, scn) else None
-        lin = _first_variation(scn, xb, ub, spike)
+        b_b, sig_b = scn.coeffs.b(xb, ub), scn.coeffs.sigma(xb, ub)
+        lin = _first_variation(scn, xb, ub, spike, (b_b, sig_b))
         quad = _second_variation(scn, xb, ub, spike, y, lin[0], lin[1])
         dwk = ens.dW[:, k]
         xb, xe, y, z = (
-            _step1(stepper, scn.dt, xb, scn.coeffs.b(xb, ub),
-                   scn.sigma_eff(xb, ub), dwk),
+            _step1(stepper, scn.dt, xb, b_b, _node_noise(scn, sig_b, dwk)),
             _step1(stepper, scn.dt, xe, scn.coeffs.b(xe, ue),
-                   scn.sigma_eff(xe, ue), dwk),
+                   _node_noise(scn, scn.coeffs.sigma(xe, ue), dwk)),
             _step_linear(stepper, scn.dt, y, lin, dwk),
             _step_linear(stepper, scn.dt, z, quad, dwk))
         _check_finite(xe, k + 1)

@@ -6,8 +6,8 @@ Coefficients are named presets with numeric parameters rather than a user
 expression language, so derivative consistency can be enforced at load
 time.  All coefficient callables are pointwise (Nemytskii) maps applied
 node-by-node; they accept x of any shape and a control point u of shape
-(m,) or (batch, m), and broadcast accordingly.  The sigma family returns
-one entry per retained noise mode in a trailing axis of length K.
+(m,) or (batch, m), and broadcast accordingly.  The K noise modes enter
+only through the scenario's fixed (n, K) profile (Scenario.sigma_eff).
 """
 from __future__ import annotations
 
@@ -34,7 +34,8 @@ class ScenarioValidationError(ValueError):
 
 @dataclass
 class CoefficientSet:
-    """Drift, diffusion and cost coefficients with first two x-derivatives."""
+    """Drift, diffusion and cost coefficients with first two x-derivatives,
+    all per-node fields; n_modes records the noise truncation K."""
 
     b: Callable
     b_x: Callable
@@ -48,7 +49,7 @@ class CoefficientSet:
     h: Callable
     h_x: Callable
     h_xx: Callable
-    n_modes: int
+    n_modes: int = 1
     name: str = ""
     params: dict = dc_field(default_factory=dict)
 
@@ -68,19 +69,12 @@ def _u_norm_sq(u):
     return np.sum(u ** 2)
 
 
-def _modes(val, x, K):
-    """Tile a per-node array into the (..., K) mode layout."""
-    out = np.broadcast_to(np.asarray(val, dtype=float)[..., None],
-                          np.shape(x) + (K,))
-    return np.ascontiguousarray(out)
-
-
 def _quadratic_costs(p):
     sw, cw, tw = p["state_weight"], p["ctrl_weight"], p["term_weight"]
     xr, xt = p["x_ref"], p["x_target"]
 
     def l(x, u):
-        return 0.5 * sw * (x - xr) ** 2 + 0.5 * cw * _u_norm_sq(u) * np.ones_like(x)
+        return 0.5 * sw * (x - xr) ** 2 + 0.5 * cw * _u_norm_sq(u)
 
     return dict(
         l=l,
@@ -92,19 +86,19 @@ def _quadratic_costs(p):
     )
 
 
-def _build_additive(p, K):
+def _build_additive(p):
     dr, gn, amp = p["drift"], p["gain"], p["noise_amp"]
     return CoefficientSet(
-        b=lambda x, u: dr * x + gn * _u_comp(u) * np.ones_like(x),
+        b=lambda x, u: dr * x + gn * _u_comp(u),
         b_x=lambda x, u: dr * np.ones_like(x),
         b_xx=lambda x, u: np.zeros_like(x),
-        sigma=lambda x, u: _modes(amp * np.ones_like(x), x, K),
-        sigma_x=lambda x, u: _modes(np.zeros_like(x), x, K),
-        sigma_xx=lambda x, u: _modes(np.zeros_like(x), x, K),
-        n_modes=K, **_quadratic_costs(p))
+        sigma=lambda x, u: amp * np.ones_like(x),
+        sigma_x=lambda x, u: np.zeros_like(x),
+        sigma_xx=lambda x, u: np.zeros_like(x),
+        **_quadratic_costs(p))
 
 
-def _build_bilinear(p, K):
+def _build_bilinear(p):
     dr, gn = p["drift"], p["gain"]
     base, cpl = p["noise_base"], p["noise_coupling"]
 
@@ -112,43 +106,43 @@ def _build_bilinear(p, K):
         return base + cpl * _u_comp(u)
 
     return CoefficientSet(
-        b=lambda x, u: dr * x + gn * _u_comp(u) * np.ones_like(x),
+        b=lambda x, u: dr * x + gn * _u_comp(u),
         b_x=lambda x, u: dr * np.ones_like(x),
         b_xx=lambda x, u: np.zeros_like(x),
-        sigma=lambda x, u: _modes(mult(u) * x, x, K),
-        sigma_x=lambda x, u: _modes(mult(u) * np.ones_like(x), x, K),
-        sigma_xx=lambda x, u: _modes(np.zeros_like(x), x, K),
-        n_modes=K, **_quadratic_costs(p))
+        sigma=lambda x, u: mult(u) * x,
+        sigma_x=lambda x, u: mult(u) * np.ones_like(x),
+        sigma_xx=lambda x, u: np.zeros_like(x),
+        **_quadratic_costs(p))
 
 
-def _build_logistic(p, K):
+def _build_logistic(p):
     c1, amp = p["curvature"], p["noise_amp"]
     return CoefficientSet(
-        b=lambda x, u: c1 * x * (1.0 - x) + _u_comp(u) * np.ones_like(x),
+        b=lambda x, u: c1 * x * (1.0 - x) + _u_comp(u),
         b_x=lambda x, u: c1 * (1.0 - 2.0 * x),
         b_xx=lambda x, u: -2.0 * c1 * np.ones_like(x),
-        sigma=lambda x, u: _modes(amp * np.tanh(x), x, K),
-        sigma_x=lambda x, u: _modes(amp / np.cosh(x) ** 2, x, K),
-        sigma_xx=lambda x, u: _modes(-2.0 * amp * np.tanh(x) / np.cosh(x) ** 2, x, K),
-        n_modes=K, **_quadratic_costs(p))
+        sigma=lambda x, u: amp * np.tanh(x),
+        sigma_x=lambda x, u: amp / np.cosh(x) ** 2,
+        sigma_xx=lambda x, u: -2.0 * amp * np.tanh(x) / np.cosh(x) ** 2,
+        **_quadratic_costs(p))
 
 
-def _build_quadratic_cost(p, K):
+def _build_quadratic_cost(p):
     gn, amp = p["gain"], p["noise_amp"]
     return CoefficientSet(
         b=lambda x, u: gn * _u_comp(u) * np.ones_like(x),
         b_x=lambda x, u: np.zeros_like(x),
         b_xx=lambda x, u: np.zeros_like(x),
-        sigma=lambda x, u: _modes(amp * np.ones_like(x), x, K),
-        sigma_x=lambda x, u: _modes(np.zeros_like(x), x, K),
-        sigma_xx=lambda x, u: _modes(np.zeros_like(x), x, K),
-        n_modes=K, **_quadratic_costs(p))
+        sigma=lambda x, u: amp * np.ones_like(x),
+        sigma_x=lambda x, u: np.zeros_like(x),
+        sigma_xx=lambda x, u: np.zeros_like(x),
+        **_quadratic_costs(p))
 
 
-def _build_mismatched(p, K):
+def _build_mismatched(p):
     """Drift derivative deliberately off by 10%; exists so that the load-time
     consistency check has a known-bad target in tests."""
-    cs = _build_additive(p, K)
+    cs = _build_additive(p)
     dr = p["drift"]
     cs.b_x = lambda x, u: 1.1 * dr * np.ones_like(x)
     return cs
@@ -177,7 +171,8 @@ def make_coefficients(preset: str, n_modes: int, **params) -> CoefficientSet:
         if key not in merged:
             raise ConfigError(f"unknown parameter {key!r} for preset {preset!r}")
         merged[key] = float(val)
-    cs = builder(merged, n_modes)
+    cs = builder(merged)
+    cs.n_modes = n_modes
     cs.name = preset
     cs.params = merged
     return cs
@@ -290,7 +285,7 @@ class NoiseModel:
     """Finite truncation of cylindrical noise to K orthonormal modes.
 
     mode_shapes, when given, are K spatial profiles (n, K) multiplying the
-    per-mode diffusion values; they must be orthonormal in discrete L2.
+    per-node diffusion (ones otherwise); they must be orthonormal in discrete L2.
     """
 
     n_modes: int
@@ -407,6 +402,8 @@ class Scenario:
         if self.x0.grid != self.grid:
             raise ScenarioValidationError("initial state lives on a different grid")
         self.noise.validate_shapes(self.grid)
+        shapes = self.noise.mode_shapes
+        self.profile = np.ones((self.grid.n, self.n_modes)) if shapes is None else shapes
 
     @property
     def dt(self) -> float:
@@ -421,9 +418,8 @@ class Scenario:
         return self.noise.n_modes
 
     def _shaped(self, vals: np.ndarray) -> np.ndarray:
-        if self.noise.mode_shapes is not None:
-            return vals * self.noise.mode_shapes
-        return vals
+        """Per-mode values vals[..., None] * E (..., n, K) of a per-node field."""
+        return vals[..., None] * self.profile
 
     def sigma_eff(self, x, u):
         """Per-mode diffusion values including spatial mode shapes, (..., n, K)."""

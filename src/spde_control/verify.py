@@ -553,6 +553,6 @@ def affine_ansatz_oracle(scn: Scenario, ubar: ControlProcess):
 
     p = np.einsum("kij,kj->ki", Ms, xs) + ms
     amp = params["noise_amp"]
-    sig = amp * scn._shaped(np.ones((n, scn.n_modes)))
+    sig = amp * scn.profile
     q = np.einsum("kij,jm->kim", Ms[:-1], sig)
     return {"x_mean": xs, "p_mean": p, "q": q, "M": Ms, "m": ms}

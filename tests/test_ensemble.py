@@ -28,6 +28,25 @@ def test_regenerate_path_bit_exact():
         assert np.array_equal(ens.regenerate_path(path), ens.dW[path])
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 40])
+def test_blocks_equal_a_per_path_philox_generator(seed):
+    # one reused generator with its state reset per path draws exactly the
+    # block of a fresh Philox keyed by (seed << 64) + path
+    dt = 0.01
+    ens = PathEnsemble.generate(seed, 20000, 3, 2, dt)
+    for path in (0, 1, 19999):
+        gen = np.random.Generator(np.random.Philox(key=(seed << 64) + path))
+        ref = gen.standard_normal((3, 2)) * np.sqrt(dt)
+        assert np.array_equal(ens.dW[path], ref)
+        assert np.array_equal(ens.regenerate_path(path), ref)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_keys_outside_philox_range_rejected(seed):
+    with pytest.raises(ValueError):
+        PathEnsemble.generate(seed, 2, 3, 1, 0.01)
+
+
 def test_paths_are_independent_of_ensemble_size():
     # per-path keying: path 2 is the same block whether 3 or 8 paths exist
     small = PathEnsemble.generate(7, 3, 15, 2, 0.02)

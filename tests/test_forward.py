@@ -11,7 +11,7 @@ from spde_control.forward import (BlowUpError, _first_variation,
                                   simulate_state, simulate_tensor,
                                   spike_expansion_stats, tensor_drift,
                                   tensor_noise)
-from spde_control.operators import SpectralBasis
+from spde_control.operators import ImplicitStepper, SpectralBasis
 from spde_control.scenario import DeterministicControl, SpikeControl
 from spde_control.verify import make_tensor_probes, zero_noise_oracle
 
@@ -49,6 +49,47 @@ def test_state_matches_fine_step_oracle():
     oracle = zero_noise_oracle(scn, scn.base_control)
     scale = np.abs(oracle["x"]).max()
     assert np.abs(traj.values[:, 0] - oracle["x"]).max() / scale < 2e-3
+
+
+def _per_mode_state(scn, u, ens):
+    """The state marched with the per-mode noise sum: the per-node sigma
+    tiled over the K modes, times the mode shapes when given, contracted
+    with dW by einsum."""
+    stepper = ImplicitStepper(scn.grid, scn.op, scn.dt)
+    x = np.tile(scn.x0.values, (ens.n_paths, 1))
+    values = [x]
+    for k in range(scn.n_t):
+        uk = u.evaluate(k, scn, x)
+        sig = np.ascontiguousarray(np.broadcast_to(
+            scn.coeffs.sigma(x, uk)[..., None], x.shape + (scn.n_modes,)))
+        if scn.noise.mode_shapes is not None:
+            sig = sig * scn.noise.mode_shapes
+        noise = np.einsum("pnk,pk->pn", sig, ens.dW[:, k])
+        x = stepper.solve1(x + scn.dt * scn.coeffs.b(x, uk) + noise)
+        values.append(x)
+    return np.array(values)
+
+
+@pytest.mark.parametrize("K", [1, 2])
+@pytest.mark.parametrize("shapes", [False, True])
+def test_state_noise_equals_the_per_mode_sum(K, shapes):
+    # for K <= 2 the per-node noise sum_k (sigma E_k) dW_k rounds exactly
+    # like the einsum over the per-mode diffusion
+    for preset in ("logistic-drift", "bilinear"):
+        scn = make_scenario(preset, n=8, n_t=32, K=K, shapes=shapes)
+        ens = PathEnsemble.for_scenario(scn, n_paths=50)
+        traj = simulate_state(scn, scn.base_control, ens)
+        assert np.array_equal(traj.values,
+                              _per_mode_state(scn, scn.base_control, ens))
+
+
+def test_state_noise_with_three_modes_within_rounding():
+    # from K = 3 on the einsum sums the modes in another order
+    scn = make_scenario("logistic-drift", n=8, n_t=32, K=3)
+    ens = PathEnsemble.for_scenario(scn, n_paths=50)
+    traj = simulate_state(scn, scn.base_control, ens)
+    ref = _per_mode_state(scn, scn.base_control, ens)
+    assert np.abs(traj.values - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_unstored_trajectory_refuses_indexing():

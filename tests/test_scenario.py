@@ -45,11 +45,23 @@ def test_mismatched_preset_fails_validation():
         validate_coefficients(cs, [np.array([0.0])])
 
 
-def test_sigma_returns_per_mode_values():
+def test_sigma_returns_per_node_values():
+    # the diffusion is a per-node field; the K modes enter only through the
+    # scenario's profile E, as sigma_eff = sigma[..., None] * E
     cs = make_coefficients("additive", 3, noise_amp=0.5)
     out = cs.sigma(np.zeros(7), np.array([0.0]))
-    assert out.shape == (7, 3)
-    assert np.allclose(out, 0.5)
+    assert out.shape == (7,)
+    assert np.all(out == 0.5)
+    x = np.random.default_rng(0).normal(size=(4, 7))
+    u = np.array([0.3])
+    for shapes in (False, True):
+        scn = make_scenario("logistic-drift", n=7, K=3, shapes=shapes)
+        E = scn.noise.mode_shapes if shapes else np.ones((7, 3))
+        for per_node, eff in ((scn.coeffs.sigma, scn.sigma_eff),
+                              (scn.coeffs.sigma_x, scn.sigma_x_eff),
+                              (scn.coeffs.sigma_xx, scn.sigma_xx_eff)):
+            assert per_node(x, u).shape == (4, 7)
+            assert np.all(eff(x, u) == per_node(x, u)[..., None] * E)
 
 
 # -- control sets / processes ------------------------------------------------
