@@ -17,16 +17,17 @@ from .scenario import (ConfigError, ControlSet, CoefficientSet,
                        Scenario, ScenarioValidationError, SpikeControl,
                        load_scenario, make_coefficients, validate_coefficients)
 from .ensemble import PathEnsemble
-from .forward import (BlowUpError, Trajectory, cost, first_variation_system,
+from .forward import (BlowUpError, Trajectory, first_variation_system,
                       probe_system, simulate_cost, simulate_linear,
                       simulate_state, simulate_tensor, spike_expansion_stats,
                       spike_tensor_sources)
 from .adjoint import (BackwardPair1, BackwardPair2, EtaLadderReport,
                       RegressionBasis, RegressionError, solve_adjoint1,
                       solve_adjoint2_limit, solve_adjoint2_mollified)
-from .verify import (BruteForceReport, DualityReport, RateReport, SMPReport,
-                     affine_ansatz_oracle, block_control_candidates,
-                     brute_force_search, check_duality1, check_duality2,
-                     check_tensor_identity, hamiltonian, make_random_probes,
-                     make_tensor_probes, rate_experiment, smp_gap, smp_scan,
-                     zero_noise_oracle)
+from .verify import (BruteForceReport, DualityReport, OracleReport,
+                     RateReport, SMPReport, affine_ansatz_oracle,
+                     block_control_candidates, brute_force_search,
+                     check_duality1, check_duality2, check_tensor_identity,
+                     hamiltonian, make_random_probes, make_tensor_probes,
+                     oracle_ansatz, oracle_zero_noise, rate_experiment,
+                     smp_gap, smp_scan, zero_noise_oracle)

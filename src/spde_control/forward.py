@@ -29,10 +29,9 @@ class BlowUpError(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """Stored path ensemble trajectory plus the controls actually applied."""
+    """Stored path ensemble trajectory and its final value."""
 
     values: Optional[np.ndarray]  # (n_t+1, M, n) or (n_t+1, M, n, n)
-    controls: list
     final: np.ndarray
 
     def __getitem__(self, k):
@@ -88,10 +87,8 @@ def simulate_state(scn: Scenario, u: ControlProcess, ens: PathEnsemble,
     values = np.empty((scn.n_t + 1, m, n)) if store else None
     if store:
         values[0] = x
-    controls = []
     for k in range(scn.n_t):
         uk = u.evaluate(k, scn, x)
-        controls.append(np.asarray(uk, dtype=float))
         if step_hook is not None:
             step_hook(k, x, uk)
         x = _step1(stepper, scn.dt, x, scn.coeffs.b(x, uk),
@@ -99,7 +96,7 @@ def simulate_state(scn: Scenario, u: ControlProcess, ens: PathEnsemble,
         _check_finite(x, k + 1)
         if store:
             values[k + 1] = x
-    return Trajectory(values, controls, x)
+    return Trajectory(values, x)
 
 
 def simulate_linear(scn: Scenario, sys: Callable, ens: PathEnsemble,
@@ -124,7 +121,7 @@ def simulate_linear(scn: Scenario, sys: Callable, ens: PathEnsemble,
         _check_finite(y, k + 1)
         if store:
             values[k + 1] = y
-    return Trajectory(values, [], y)
+    return Trajectory(values, y)
 
 
 def tensor_drift(bx: np.ndarray, sx: np.ndarray) -> np.ndarray:
@@ -179,7 +176,7 @@ def simulate_tensor(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
         _check_finite(Y, k + 1)
         if store:
             values[k + 1] = Y
-    return Trajectory(values, [], Y)
+    return Trajectory(values, Y)
 
 
 # -- linearizations along a reference path ----------------------------------
@@ -306,19 +303,10 @@ def _finalize_cost(scn, acc: np.ndarray, x_final: np.ndarray) -> CostEstimate:
                         x_final)
 
 
-def cost(scn: Scenario, traj: Trajectory, u: ControlProcess = None) -> CostEstimate:
-    """Monte Carlo cost: left-endpoint time quadrature of the running cost
-    plus the terminal term, with the standard error of the mean."""
-    m = traj[0].shape[0]
-    acc = np.zeros(m)
-    for k in range(scn.n_t):
-        uk = traj.controls[k] if traj.controls else u.evaluate(k, scn, traj[k])
-        acc += scn.dt * scn.grid.h * np.sum(scn.coeffs.l(traj[k], uk), axis=-1)
-    return _finalize_cost(scn, acc, traj.final)
-
-
 def simulate_cost(scn: Scenario, u: ControlProcess, ens: PathEnsemble) -> CostEstimate:
-    """Cost without trajectory storage (streaming accumulation)."""
+    """Monte Carlo cost without trajectory storage: left-endpoint time
+    quadrature of the running cost, streamed along the state simulation,
+    plus the terminal term, with the standard error of the mean."""
     acc = np.zeros(ens.n_paths)
 
     def hook(k, x, uk):
@@ -335,8 +323,8 @@ class ExpansionStats:
     """Sup-over-time moments of the spike expansion, with standard errors.
 
     Statistics: first-order response second moment, second-order response
-    first moment, squared expansion residual, and the fractional-order
-    terminal moment of the first-order response.
+    first moment, squared expansion residual, and the terminal moment of
+    the first-order response in the Sobolev norm of order 1/4.
     """
 
     y_moment: float
@@ -350,8 +338,7 @@ class ExpansionStats:
 
 
 def spike_expansion_stats(scn: Scenario, ubar: ControlProcess, v, tau: float,
-                          eps: float, ens: PathEnsemble,
-                          gamma: float = 0.25) -> ExpansionStats:
+                          eps: float, ens: PathEnsemble) -> ExpansionStats:
     """Lockstep simulation of the reference state, the spike-perturbed
     state and both response processes on common noise, streaming the
     moment statistics without trajectory storage."""
@@ -387,7 +374,7 @@ def spike_expansion_stats(scn: Scenario, ubar: ControlProcess, v, tau: float,
         res = xe - xb - y - z
         r_sq[k + 1] = h * np.sum(res ** 2, axis=-1)
     basis = SpectralBasis.build(scn.grid, scn.op)
-    hg = sobolev_norms_batch(y, basis, gamma) ** 2
+    hg = sobolev_norms_batch(y, basis, 0.25) ** 2
 
     def sup_stat(per_step):
         means = per_step.mean(axis=1)

@@ -144,12 +144,6 @@ class SpectralBasis:
             return self.grid.h * (V.T @ np.asarray(values) @ V)
         return np.sqrt(self.grid.h) * (np.asarray(values) @ V)
 
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        V = self.vectors
-        if self.is_2d:
-            return (V @ np.asarray(coeffs) @ V.T) / self.grid.h
-        return (np.asarray(coeffs) @ V.T) / np.sqrt(self.grid.h)
-
 
 def sobolev_norm(f: Union[Field, TensorField, np.ndarray], basis: SpectralBasis,
                  gamma: float) -> float:
@@ -209,18 +203,13 @@ def heat_mollifier(xbarT: Field, hxx: Callable, eta: float) -> TensorField:
     eta evaluated at l_i - l_j.  Widths below (2h)^2 trigger a warning:
     such a Gaussian cannot be resolved on the grid.
     """
-    if eta <= 0.0:
-        raise ValueError("mollifier width eta must be positive")
     grid = xbarT.grid
+    values = mollified_terminal_batch(xbarT.values, hxx, grid, eta)
     if eta < (2.0 * grid.h) ** 2:
         warnings.warn(
             f"mollifier width eta={eta:.3e} below grid resolution (2h)^2="
             f"{(2 * grid.h) ** 2:.3e}", MollifierResolutionWarning)
-    lam = grid.nodes
-    curv = np.asarray(hxx(xbarT.values), dtype=float)
-    sym = 0.5 * (curv[:, None] + curv[None, :])
-    kern = np.exp(-(lam[:, None] - lam[None, :]) ** 2 / (4.0 * eta)) / np.sqrt(4.0 * np.pi * eta)
-    return TensorField(Grid2D(grid), sym * kern, symmetric=True)
+    return TensorField(Grid2D(grid), values, symmetric=True)
 
 
 def mollified_terminal_batch(xT: np.ndarray, hxx: Callable, grid: Grid1D,

@@ -139,15 +139,6 @@ def _build_quadratic_cost(p):
         **_quadratic_costs(p))
 
 
-def _build_mismatched(p):
-    """Drift derivative deliberately off by 10%; exists so that the load-time
-    consistency check has a known-bad target in tests."""
-    cs = _build_additive(p)
-    dr = p["drift"]
-    cs.b_x = lambda x, u: 1.1 * dr * np.ones_like(x)
-    return cs
-
-
 _COMMON_DEFAULTS = dict(state_weight=1.0, ctrl_weight=0.1, term_weight=1.0,
                         x_ref=0.0, x_target=0.0)
 
@@ -157,7 +148,6 @@ PRESETS = {
                                        noise_coupling=0.4)),
     "logistic-drift": (_build_logistic, dict(curvature=1.0, noise_amp=0.25)),
     "quadratic-cost": (_build_quadratic_cost, dict(gain=1.0, noise_amp=0.2)),
-    "mismatched": (_build_mismatched, dict(drift=0.5, gain=1.0, noise_amp=0.2)),
 }
 
 

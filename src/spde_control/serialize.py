@@ -8,9 +8,7 @@ All floats are written with %.17g so that a value round-trips exactly.
 """
 from __future__ import annotations
 
-import numpy as np
-
-from .grids import Field, Grid1D, Grid2D, TensorField
+from .grids import Field, TensorField
 
 CSV_VERSION = "spde-control csv v1"
 _FMT = "%.17g"
@@ -28,18 +26,6 @@ def field_to_csv(f: Field) -> str:
     return "\n".join(lines) + "\n"
 
 
-def field_from_csv(text: str) -> Field:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0]
-    meta = dict(tok.split("=") for tok in header.split() if "=" in tok)
-    grid = Grid1D(float(meta["a"]), float(meta["b"]), int(meta["n"]))
-    rows = [ln.split(",") for ln in lines[2:]]
-    values = np.empty(grid.n)
-    for row in rows:
-        values[int(row[0])] = float(row[-1])
-    return Field(grid, values)
-
-
 def tensor_to_csv(f: TensorField) -> str:
     g = f.grid.base
     lines = [f"# {CSV_VERSION} tensor a={_fmt(g.a)} b={_fmt(g.b)} n={g.n}",
@@ -49,14 +35,3 @@ def tensor_to_csv(f: TensorField) -> str:
         for j in range(g.n):
             lines.append(f"{i},{j},{_fmt(nodes[i])},{_fmt(nodes[j])},{_fmt(f.values[i, j])}")
     return "\n".join(lines) + "\n"
-
-
-def tensor_from_csv(text: str) -> TensorField:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    meta = dict(tok.split("=") for tok in lines[0].split() if "=" in tok)
-    grid = Grid1D(float(meta["a"]), float(meta["b"]), int(meta["n"]))
-    values = np.empty((grid.n, grid.n))
-    for ln in lines[2:]:
-        row = ln.split(",")
-        values[int(row[0]), int(row[1])] = float(row[-1])
-    return TensorField(Grid2D(grid), values)

@@ -13,10 +13,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
-from .adjoint import (RegressionBasis, _curvature, solve_adjoint1,
-                      solve_adjoint2_mollified)
+from .adjoint import _curvature, solve_adjoint1, solve_adjoint2_mollified
 from .ensemble import PathEnsemble
 from .forward import (BlowUpError, first_variation_system, probe_system,
                       simulate_cost, simulate_linear, simulate_state,
@@ -33,17 +31,17 @@ def _sine_matrix(n: int) -> np.ndarray:
     return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(i, i) / (n + 1))
 
 
-def make_random_probes(scn: Scenario, n_probes: int, seed: int = 0,
-                       n_low_modes: int = 4):
+def make_random_probes(scn: Scenario, n_probes: int, seed: int = 0):
     """Deterministic smooth source probes (phi, psi) for the duality checks.
 
-    Each probe is a random low-mode combination in space modulated by a
-    smooth function of time; coefficients come from a counter-based
-    generator so the probe set is reproducible from the seed alone.
+    Each probe is a random combination of the four lowest sine modes in
+    space modulated by a smooth function of time; coefficients come from a
+    counter-based generator so the probe set is reproducible from the seed
+    alone.
     """
     gen = np.random.Generator(np.random.Philox(key=seed))
     n, K = scn.grid.n, scn.n_modes
-    modes = _sine_matrix(n)[:, :min(n_low_modes, n)]
+    modes = _sine_matrix(n)[:, :min(4, n)]
     t = scn.times[:-1] / scn.T
     probes = []
     for _ in range(n_probes):
@@ -54,6 +52,10 @@ def make_random_probes(scn: Scenario, n_probes: int, seed: int = 0,
         psi = wobble[:, None, None] * (modes @ cps)[None, :, :]
         probes.append((phi, psi))
     return probes
+
+
+# worst relative duality gap tolerated, by adjoint order
+DUALITY_TOL = {1: 0.05, 2: 0.10}
 
 
 @dataclass
@@ -84,8 +86,7 @@ def _duality_row(j: int, lhs_acc: np.ndarray, rhs_acc: np.ndarray) -> dict:
 
 
 def check_duality1(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
-                   probes, method: str = "regress",
-                   reg_basis: RegressionBasis = None) -> DualityReport:
+                   probes) -> DualityReport:
     """First-order duality: for each deterministic source probe (phi, psi),
     the cost response of the sourced linearization must match the pairing
     of the sources with the adjoint pair, on common noise.
@@ -99,8 +100,7 @@ def check_duality1(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
             rhs_acc[j] += dt * h * (p @ phi[k]
                                     + np.einsum("pnk,nk->p", q, psi[k]))
 
-    solve_adjoint1(scn, xbar, ubar, ens, method=method, reg_basis=reg_basis,
-                   store=False, step_hook=backward_hook)
+    solve_adjoint1(scn, xbar, ubar, ens, store=False, step_hook=backward_hook)
 
     rows = []
     hx_T = scn.coeffs.h_x(xbar.final)
@@ -119,13 +119,13 @@ def check_duality1(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
     return DualityReport(rows, max(r["gap"] for r in rows))
 
 
-def make_tensor_probes(scn: Scenario, n_probes: int, seed: int = 1,
-                       n_low_modes: int = 3):
+def make_tensor_probes(scn: Scenario, n_probes: int, seed: int = 1):
     """Symmetric smooth probes (Phi (n_t, n, n), Psi (n_t, n, n, K)) on the
-    square for the second-order duality check."""
+    square for the second-order duality check, spanned by the three lowest
+    sine modes."""
     gen = np.random.Generator(np.random.Philox(key=seed))
     n, K = scn.grid.n, scn.n_modes
-    modes = _sine_matrix(n)[:, :min(n_low_modes, n)]
+    modes = _sine_matrix(n)[:, :min(3, n)]
     t = scn.times[:-1] / scn.T
     probes = []
     for _ in range(n_probes):
@@ -142,8 +142,7 @@ def make_tensor_probes(scn: Scenario, n_probes: int, seed: int = 1,
 
 
 def check_duality2(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
-                   eta: float, probes, method: str = "regress",
-                   reg_basis: RegressionBasis = None) -> DualityReport:
+                   eta: float, probes) -> DualityReport:
     """Second-order duality at mollifier width eta.
 
     For sourced product-space probes (Phi, Psi): the terminal pairing of
@@ -153,8 +152,7 @@ def check_duality2(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
     """
     m, n, h, dt = ens.n_paths, scn.grid.n, scn.grid.h, scn.dt
     xbar = simulate_state(scn, ubar, ens, store=True)
-    pair1 = solve_adjoint1(scn, xbar, ubar, ens, method=method,
-                           reg_basis=reg_basis, store=True)
+    pair1 = solve_adjoint1(scn, xbar, ubar, ens, store=True)
     rhs_acc = np.zeros((len(probes), m))
     # probe sources flattened per step, Psi mode-major to match Q's storage
     phi_flat = [Phi.reshape(len(Phi), -1) for Phi, _ in probes]
@@ -168,8 +166,8 @@ def check_duality2(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
             rhs_acc[j] += dt * h ** 2 * (P_flat @ phi_flat[j][k]
                                          + Q_flat @ psi_flat[j][k])
 
-    solve_adjoint2_mollified(scn, xbar, ubar, ens, pair1, eta, method=method,
-                             reg_basis=reg_basis, step_hook=backward_hook)
+    solve_adjoint2_mollified(scn, xbar, ubar, ens, pair1, eta,
+                             step_hook=backward_hook)
 
     PT = mollified_terminal_batch(xbar.final, scn.coeffs.h_xx, scn.grid, eta)
     idx = np.arange(n)
@@ -216,6 +214,11 @@ def check_tensor_identity(scn: Scenario, ubar: ControlProcess, v, tau: float,
 
 # -- spike-expansion rates ---------------------------------------------------
 
+# least log-log slope of each spike-expansion moment against epsilon
+RATE_THRESHOLDS = {"y_moment": 0.9, "z_moment": 0.9, "residual": 2.2,
+                   "hgamma": 0.9}
+
+
 @dataclass
 class RateReport:
     """Log-log slope fits of the spike-expansion moments against epsilon."""
@@ -226,8 +229,19 @@ class RateReport:
     slopes: dict           # name -> (slope, ci_lo, ci_hi) or None if undefined
     notes: list = field(default_factory=list)
 
+    def passed(self, name: str):
+        """Slope at least its threshold with a 95% CI that excludes 0;
+        None when the slope is undefined."""
+        fit = self.slopes[name]
+        if fit is None:
+            return None
+        slope, lo, _ = fit
+        return slope >= RATE_THRESHOLDS[name] and lo > 0.0
+
 
 def _fit_slope(eps, vals):
+    from scipy import stats as sps
+
     eps = np.asarray(eps)
     vals = np.asarray(vals)
     live = vals > 0.0
@@ -242,8 +256,7 @@ def _fit_slope(eps, vals):
 
 
 def rate_experiment(scn: Scenario, ubar: ControlProcess, v, tau: float,
-                    eps_fractions, n_paths: int, seed: int = None,
-                    gamma: float = 0.25) -> RateReport:
+                    eps_fractions, n_paths: int, seed: int = None) -> RateReport:
     """Spike-expansion moments over an epsilon ladder with slope fits.
 
     eps_fractions are spike lengths as fractions of the horizon.  Each
@@ -257,7 +270,7 @@ def rate_experiment(scn: Scenario, ubar: ControlProcess, v, tau: float,
     stats = {nm: [] for nm in names}
     ses = {nm: [] for nm in names}
     for e in eps:
-        st = spike_expansion_stats(scn, ubar, v, tau, e, ens, gamma=gamma)
+        st = spike_expansion_stats(scn, ubar, v, tau, e, ens)
         for nm in names:
             stats[nm].append(getattr(st, nm))
             ses[nm].append(getattr(st, nm + "_se"))
@@ -300,6 +313,10 @@ def smp_gap(scn: Scenario, x: np.ndarray, u_ref, v, p: np.ndarray,
     return base + corr
 
 
+# least minimum gap at an optimum, relative to the Hamiltonian scale
+SMP_TOL = -0.05
+
+
 @dataclass
 class SMPReport:
     """Lattice scan of the maximum-principle gap at sampled times."""
@@ -315,10 +332,16 @@ class SMPReport:
     def min_mean_gap(self) -> float:
         return float(self.mean_gaps.min())
 
+    @property
+    def min_rel_gap(self) -> float:
+        return self.min_mean_gap / self.scale
+
+    def passed(self) -> bool:
+        return self.min_rel_gap >= SMP_TOL
+
 
 def smp_scan(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
-             eta: float, n_times: int = 8, method: str = "regress",
-             reg_basis: RegressionBasis = None) -> SMPReport:
+             eta: float, n_times: int = 8) -> SMPReport:
     """Evaluate the maximum-principle gap over the control lattice at
     interior sample times, using both adjoint pairs along the reference.
 
@@ -329,10 +352,8 @@ def smp_scan(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
     steps = np.unique(np.linspace(0, scn.n_t - 1, n_times + 2,
                                   dtype=int)[1:-1])
     xbar = simulate_state(scn, ubar, ens, store=True)
-    pair1 = solve_adjoint1(scn, xbar, ubar, ens, method=method,
-                           reg_basis=reg_basis, store=True)
+    pair1 = solve_adjoint1(scn, xbar, ubar, ens, store=True)
     pair2 = solve_adjoint2_mollified(scn, xbar, ubar, ens, pair1, eta,
-                                     method=method, reg_basis=reg_basis,
                                      store_steps=set(int(s) for s in steps))
     lattice = scn.controls.lattice()
     mean_g = np.empty((len(steps), len(lattice)))
@@ -556,3 +577,70 @@ def affine_ansatz_oracle(scn: Scenario, ubar: ControlProcess):
     sig = amp * scn.profile
     q = np.einsum("kij,jm->kim", Ms[:-1], sig)
     return {"x_mean": xs, "p_mean": p, "q": q, "M": Ms, "m": ms}
+
+
+# largest relative error of the solvers against each oracle
+ORACLE_TOL = {"zero-noise": 1e-3, "ansatz": 0.02}
+
+
+@dataclass
+class OracleReport:
+    """Relative errors of the adjoint solvers against an oracle, as rows
+    (quantity, rel_error, tolerance, status); "info" rows are not scored."""
+
+    rows: list
+    worst: float                # largest scored relative error
+    tolerance: float
+    ok: bool
+
+
+def _oracle_report(kind: str, scored, info=()) -> OracleReport:
+    tol = ORACLE_TOL[kind]
+    rows = [(name, float(rel), tol, "pass" if rel <= tol else "fail")
+            for name, rel in scored]
+    worst = max(r[1] for r in rows)
+    ok = all(r[3] == "pass" for r in rows)
+    rows += [(name, float(rel), float("nan"), "info") for name, rel in info]
+    return OracleReport(rows, worst, tol, ok)
+
+
+def oracle_zero_noise(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
+                      eta: float) -> OracleReport:
+    """Mean adjoints (p, P) of the zero-noise case against the fine-step
+    oracle: sup-norm error relative to the oracle's sup norm, p over every
+    step and P at four stored steps."""
+    oracle = zero_noise_oracle(scn, ubar, eta=eta)
+    xbar = simulate_state(scn, ubar, ens, store=True)
+    pair1 = solve_adjoint1(scn, xbar, ubar, ens, method="mean")
+    p_mean = pair1.p.mean(axis=1)
+    scale_p = np.abs(oracle["p"]).max()
+    rel_p = np.abs(p_mean - oracle["p"]).max() / scale_p
+    steps = sorted({0, scn.n_t // 4, scn.n_t // 2, 3 * scn.n_t // 4})
+    pair2 = solve_adjoint2_mollified(scn, xbar, ubar, ens, pair1, eta,
+                                     method="mean", store_steps=steps)
+    scale_P = np.abs(oracle["P"]).max()
+    rel_P = max(float(np.abs(pair2.stored_steps[k].mean(axis=0)
+                             - oracle["P"][k]).max()) / scale_P
+                for k in steps)
+    return _oracle_report("zero-noise", [("p", rel_p), ("P", rel_P)])
+
+
+def oracle_ansatz(scn: Scenario, ubar: ControlProcess,
+                  ens: PathEnsemble) -> OracleReport:
+    """Mean first-order adjoint of the affine case against the ansatz
+    oracle: worst-step L2 error relative to the oracle's largest L2 norm.
+    q is pure martingale noise at per-step resolution, so its error is
+    reported for reference and not scored."""
+    oracle = affine_ansatz_oracle(scn, ubar)
+    xbar = simulate_state(scn, ubar, ens, store=True)
+    pair1 = solve_adjoint1(scn, xbar, ubar, ens)
+    h = scn.grid.h
+    p_mean = pair1.p.mean(axis=1)
+    num = np.sqrt(h * np.sum((p_mean - oracle["p_mean"]) ** 2, axis=-1))
+    den = np.sqrt(h * np.sum(oracle["p_mean"] ** 2, axis=-1)).max()
+    q_mean = pair1.q.mean(axis=1)
+    qn = np.sqrt(h * np.sum((q_mean - oracle["q"]) ** 2, axis=(-2, -1)))
+    qd = max(np.sqrt(h * np.sum(oracle["q"] ** 2, axis=(-2, -1))).max(),
+             1e-12)
+    return _oracle_report("ansatz", [("p", num.max() / den)],
+                          info=[("q", qn.max() / qd)])

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, verdict records, run directories,
 manifests and output determinism."""
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -98,6 +100,33 @@ def test_duality_first_order_passes(tmp_path, capsys):
     csv = (tmp_path / "duality-additive-s7" / "duality.csv").read_text()
     assert csv.startswith("# spde-control csv v1")
     assert csv.splitlines()[1] == "probe,lhs,rhs,gap,lhs_se,rhs_se"
+
+
+@pytest.mark.parametrize("kind, cfg, statistic, quantities", [
+    ("zero-noise", "zero_noise.cfg", "0.000934247",
+     [("p", "pass"), ("P", "pass")]),
+    ("ansatz", "ansatz.cfg", "0.00504046", [("p", "pass"), ("q", "info")]),
+])
+def test_oracle_passes_and_writes_rows(tmp_path, capsys, kind, cfg, statistic,
+                                       quantities):
+    code, out, _ = run(capsys, "oracle", "--kind", kind, "--scenario",
+                       fixture(cfg), "--out", str(tmp_path))
+    assert code == 0
+    assert (f"VERDICT experiment=oracle-{kind} status=pass "
+            f"statistic={statistic} ") in out
+    stem = os.path.splitext(cfg)[0]
+    seed = 1 if kind == "zero-noise" else 5
+    csv = (tmp_path / f"oracle-{stem}-s{seed}" / "oracle.csv").read_text()
+    rows = [ln.split(",") for ln in csv.splitlines()[2:]]
+    assert [(r[0], r[3]) for r in rows] == quantities
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = ("import sys, spde_control.cli; "
+            "print('scipy.stats' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert res.stdout.strip() == "False"
 
 
 def test_degenerate_rates_reports_undefined_slopes(tmp_path, capsys):

@@ -2,11 +2,10 @@
 import numpy as np
 import pytest
 
-from helpers import make_scenario
+from helpers import cost, make_scenario
 from spde_control.ensemble import PathEnsemble
 from spde_control.forward import (BlowUpError, _first_variation,
-                                  _second_variation, cost,
-                                  first_variation_system, probe_system,
+                                  _second_variation, first_variation_system, probe_system,
                                   simulate_cost, simulate_linear,
                                   simulate_state, simulate_tensor,
                                   spike_expansion_stats, tensor_drift,
@@ -191,7 +190,7 @@ def test_streaming_cost_matches_stored_cost():
     scn = make_scenario("bilinear", n=8, n_t=32)
     ens = PathEnsemble.for_scenario(scn, n_paths=25)
     traj = simulate_state(scn, scn.base_control, ens)
-    a = cost(scn, traj)
+    a = cost(scn, traj, scn.base_control)
     b = simulate_cost(scn, scn.base_control, ens)
     assert np.array_equal(a.per_path, b.per_path)
 
@@ -250,5 +249,7 @@ def test_block_control_applies_per_step():
                         K=1)
     u = DeterministicControl.from_blocks([(0.0,), (1.0,)], scn.n_t)
     ens = PathEnsemble.for_scenario(scn, n_paths=1)
-    traj = simulate_state(scn, u, ens)
-    assert [c[0] for c in traj.controls] == [0.0, 0.0, 1.0, 1.0]
+    applied = []
+    simulate_state(scn, u, ens, store=False,
+                   step_hook=lambda k, x, uk: applied.append(uk[0]))
+    assert applied == [0.0, 0.0, 1.0, 1.0]

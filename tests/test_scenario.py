@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from helpers import make_scenario
+from helpers import MISMATCHED, make_scenario
+from spde_control import scenario
 from spde_control.grids import Grid1D
 from spde_control.scenario import (ConfigError, ControlSet,
                                    DeterministicControl, NoiseModel,
@@ -39,7 +40,8 @@ def test_preset_derivatives_consistent(preset):
     assert all(err < 1e-5 for err in report.values())
 
 
-def test_mismatched_preset_fails_validation():
+def test_mismatched_preset_fails_validation(monkeypatch):
+    monkeypatch.setitem(scenario.PRESETS, "mismatched", MISMATCHED)
     cs = make_coefficients("mismatched", 1)
     with pytest.raises(ScenarioValidationError, match="b/b_x"):
         validate_coefficients(cs, [np.array([0.0])])
@@ -191,7 +193,8 @@ def test_missing_file_rejected(tmp_path):
         load_scenario(tmp_path / "nope.cfg")
 
 
-def test_mismatched_coefficients_rejected_at_load(tmp_path):
+def test_mismatched_coefficients_rejected_at_load(tmp_path, monkeypatch):
+    monkeypatch.setitem(scenario.PRESETS, "mismatched", MISMATCHED)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[grid]\nn = 8\n[coefficients]\npreset = mismatched\n"
                    "[time]\nhorizon = 1\nsteps = 8\n")

@@ -1,9 +1,9 @@
 """CSV round trips for fields and tensor fields."""
 import numpy as np
 
+from helpers import field_from_csv, tensor_from_csv
 from spde_control.grids import Field, Grid1D, TensorField
-from spde_control.serialize import (field_from_csv, field_to_csv,
-                                    tensor_from_csv, tensor_to_csv)
+from spde_control.serialize import field_to_csv, tensor_to_csv
 
 
 def _rng():
