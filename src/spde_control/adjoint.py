@@ -3,8 +3,9 @@
 Both adjoint pairs are solved by a backward sweep of the semi-implicit
 scheme, with the conditional expectations at each step replaced by a
 least-squares regression on spectral features of the current state
-(Longstaff-Schwartz).  The martingale component q is recovered by
-regressing p_{k+1} dW_k / dt on the same features.
+(Longstaff-Schwartz), fitted once per step.  The martingale component q is
+recovered by regressing p_{k+1} dW_k / dt on the same fit.  The resolvent
+acts on the few regression coefficients, which are lifted to the paths once.
 
 The second-order pair lives on the square; its terminal condition is the
 heat-kernel mollification of the diagonal curvature distribution.  A single
@@ -67,15 +68,15 @@ class RegressionBasis:
         return np.concatenate(cols, axis=1)
 
 
-def _project(feats: np.ndarray, target: np.ndarray):
-    """L2 projection of the target onto the span of the feature columns.
+def _project(feats: np.ndarray):
+    """Fit of the L2 projector onto the span of the feature columns.
 
     Columns are standardized and then passed through a rank-revealing
     (pivoted) QR; columns that are constant across the ensemble or linearly
     dependent on earlier ones -- e.g. when the state's randomness spans
     fewer directions than there are features -- carry no information and
-    are pruned before the solve.  Returns the fitted values (same shape as
-    target) and the Gram condition of the retained columns; if that still
+    are pruned.  Returns an orthonormal basis Qr (M, keep) of the retained
+    columns (the projection is Qr Qr^T) and their Gram condition; if that
     exceeds the limit, the regression is refused.
     """
     m = feats.shape[0]
@@ -93,25 +94,24 @@ def _project(feats: np.ndarray, target: np.ndarray):
     if cond > GRAM_CONDITION_LIMIT:
         raise RegressionError(
             f"regression Gram condition {cond:.3e} exceeds {GRAM_CONDITION_LIMIT:.0e}")
-    Qr = Q[:, :keep]
-    flat = target.reshape(m, -1)
-    return (Qr @ (Qr.T @ flat)).reshape(target.shape), cond
+    return Q[:, :keep], cond
 
 
-def _cond_mean(feats: Optional[np.ndarray], target: np.ndarray):
-    """Conditional mean of the target given the features, and the Gram
-    condition of the fit.  Without features (method "mean") it is the
-    ensemble mean as one (1, ...) block: the resolvent solves it once and
-    the caller broadcasts the result to the paths."""
-    if feats is None:
-        return target.mean(axis=0, keepdims=True), 0.0
-    return _project(feats, target)
+def _smoothed(Qr: Optional[np.ndarray], target: np.ndarray, solve):
+    """solve of the conditional mean of the target: the resolvent acts on
+    the coefficients Qr^T target, which Qr lifts to the paths once (the
+    projector acts on the path axis, the resolvent on the space axes).
+    Without a fit it solves the ensemble mean once as a (1, ...) block."""
+    if Qr is None:
+        return np.broadcast_to(solve(target.mean(axis=0, keepdims=True)), target.shape)
+    return np.tensordot(Qr, solve(np.tensordot(Qr, target, axes=(0, 0))), axes=1)
 
 
-def _regression_basis(scn: Scenario, m: int, method: str,
-                      reg_basis: Optional[RegressionBasis]):
-    """Validate the conditional-expectation method and return the basis the
-    sweep regresses on (the default one for "regress" if none is given).
+def _step_fit(scn: Scenario, m: int, method: str,
+              reg_basis: Optional[RegressionBasis]):
+    """Validate the conditional-expectation method; return fit(x), the one
+    regression fit of a step on the features of x (None under "mean"), and
+    the diagnostics in which it books the Gram condition and retained rank.
 
     A basis with more than M / 20 features is refused: the regression error
     grows like F / M (Gobet, Lemor & Warin 2005).
@@ -123,7 +123,17 @@ def _regression_basis(scn: Scenario, m: int, method: str,
     if reg_basis is not None and reg_basis.n_features > max(m // 20, 2):
         raise RegressionError(
             f"{reg_basis.n_features} features for {m} paths; need M >= 20 F")
-    return reg_basis
+    diag = {"max_gram_condition": 0.0, "method": method}
+
+    def fit(x):
+        if method == "mean":
+            return None
+        Qr, cond = _project(reg_basis.features(x))
+        diag["max_gram_condition"] = max(diag["max_gram_condition"], cond)
+        diag["min_rank"] = min(diag.get("min_rank", Qr.shape[1]), Qr.shape[1])
+        return Qr
+
+    return fit, diag
 
 
 def _curvature(scn: Scenario, x: np.ndarray, uk, p: np.ndarray,
@@ -168,27 +178,22 @@ def solve_adjoint1(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
     regression error.
     """
     m, n, K = ens.n_paths, scn.grid.n, scn.n_modes
-    reg_basis = _regression_basis(scn, m, method, reg_basis)
+    fit, diag = _step_fit(scn, m, method, reg_basis)
     stepper = _stepper(scn)
     p = scn.coeffs.h_x(xbar.final)
     p_store = np.empty((scn.n_t + 1, m, n)) if store else None
     q_store = np.empty((scn.n_t, m, n, K)) if store else None
     if store:
         p_store[scn.n_t] = p
-    max_cond = 0.0
     for k in range(scn.n_t - 1, -1, -1):
         x = xbar[k]
         uk = ubar.evaluate(k, scn, x)
-        mart = p[:, :, None] * ens.dW[:, k][:, None, :] / scn.dt  # (M, n, K)
-        feats = reg_basis.features(x) if method == "regress" else None
-        phat, c1 = _cond_mean(feats, p)
-        qhat, c2 = _cond_mean(feats, mart)
-        max_cond = max(max_cond, c1, c2)
+        mart = p[:, None, :] * ens.dW[:, k][:, :, None] / scn.dt  # (M, K, n)
+        Qr = fit(x)
         # exact discrete adjoint of the forward scheme: the resolvent hits
         # the conditional means first, then the explicit terms are added
-        mk = np.broadcast_to(stepper.solve1(phat), p.shape)
-        q = np.swapaxes(stepper.solve1(np.swapaxes(qhat, 1, 2)), 1, 2)
-        q = np.broadcast_to(q, mart.shape)
+        mk = _smoothed(Qr, p, stepper.solve1)
+        q = np.swapaxes(_smoothed(Qr, mart, stepper.solve1), 1, 2)
         drift = (scn.coeffs.b_x(x, uk) * mk
                  + np.einsum("pnk,pnk->pn", scn.sigma_x_eff(x, uk), q)
                  + scn.coeffs.l_x(x, uk))
@@ -198,7 +203,6 @@ def solve_adjoint1(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
             q_store[k] = q
         if step_hook is not None:
             step_hook(k, mk, q)
-    diag = {"max_gram_condition": max_cond, "method": method}
     return BackwardPair1(p_store, q_store, p, diag)
 
 
@@ -226,7 +230,7 @@ def _sweep2(scn, xbar, ubar, ens, pair1, etas, method, reg_basis,
     the last width.  Returns the per-width P_0 and a-priori statistics, the
     squared increments, the stored steps and the diagnostics.
     """
-    reg_basis = _regression_basis(scn, ens.n_paths, method, reg_basis)
+    fit, diag = _step_fit(scn, ens.n_paths, method, reg_basis)
     stepper = _stepper(scn)
     basis2 = SpectralBasis.build(scn.grid.square(), scn.op)
     h, dt = scn.grid.h, scn.dt
@@ -239,25 +243,20 @@ def _sweep2(scn, xbar, ubar, ens, pair1, etas, method, reg_basis,
     int_l2 = [0.0] * len(etas)
     cauchy_sq = [0.0] * last
     stored = {}
-    max_cond = max_asym = 0.0
+    max_asym = 0.0
     for k in range(scn.n_t - 1, -1, -1):
         x = xbar[k]
         uk = ubar.evaluate(k, scn, x)
-        feats = reg_basis.features(x) if method == "regress" else None
+        Qr = fit(x)
         sx = scn.sigma_x_eff(x, uk)
         c = tensor_drift(scn.coeffs.b_x(x, uk), sx)
         # the source is the diagonal embedding of the curvature
         diag_source = _curvature(scn, x, uk, pair1.p[k], pair1.q[k]) / h
         dwk = ens.dW[:, k][:, :, None, None]
         for i, P in enumerate(Ps):
-            Phat, c1 = _cond_mean(feats, P)
-            # the (M, K, n, n) martingale target is freed before the solves
-            Qhat, c2 = _cond_mean(feats, P[:, None] * dwk)
-            max_cond = max(max_cond, c1, c2)
-            Qhat /= dt
             # resolvent first (exact discrete adjoint), explicit terms second
-            Mk = np.broadcast_to(stepper.solve2(Phat), P.shape)
-            Qk = np.broadcast_to(stepper.solve2(Qhat), dwk.shape[:2] + P.shape[1:])
+            Mk = _smoothed(Qr, P, stepper.solve2)
+            Qk = _smoothed(Qr, P[:, None] * dwk, lambda T: stepper.solve2(T / dt))
             rate = c * Mk
             rate += _qcouple(sx, Qk)
             rate[:, idx, idx] += diag_source
@@ -275,8 +274,7 @@ def _sweep2(scn, xbar, ubar, ens, pair1, etas, method, reg_basis,
             sq = h ** 2 * np.sum((Ps[i] - Ps[i + 1]) ** 2, axis=(-2, -1))
             cauchy_sq[i] += dt * float(np.mean(sq))
     stats = [s + l2 for s, l2 in zip(sup_hm1, int_l2)]
-    diag = {"max_gram_condition": max_cond, "max_asymmetry": max_asym,
-            "method": method}
+    diag["max_asymmetry"] = max_asym
     return Ps, stats, cauchy_sq, stored, diag
 
 

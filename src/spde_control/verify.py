@@ -170,17 +170,17 @@ def check_duality2(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
                              step_hook=backward_hook)
 
     PT = mollified_terminal_batch(xbar.final, scn.coeffs.h_xx, scn.grid, eta)
+    # the curvature source does not depend on the probe: once per step
+    curv = [_curvature(scn, xbar[k], ubar.evaluate(k, scn, xbar[k]),
+                       pair1.p[k], pair1.q[k]) for k in range(scn.n_t)]
     idx = np.arange(n)
     rows = []
     for j, (Phi, Psi) in enumerate(probes):
         lhs_acc = np.zeros(m)
 
         def forward_hook(k, Y):
-            x = xbar[k]
-            curv = _curvature(scn, x, ubar.evaluate(k, scn, x), pair1.p[k],
-                              pair1.q[k])
             # <delta_star(curv), Y> collapses to the diagonal of Y
-            lhs_acc[:] += dt * h * np.sum(curv * Y[:, idx, idx], axis=-1)
+            lhs_acc[:] += dt * h * np.sum(curv[k] * Y[:, idx, idx], axis=-1)
 
         traj = simulate_tensor(scn, xbar, ubar, ens,
                                phi=lambda k, Phi=Phi: Phi[k],

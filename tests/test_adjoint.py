@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from helpers import make_scenario
+from spde_control import adjoint
 from spde_control.adjoint import (RegressionBasis, RegressionError, _project,
-                                  _qcouple, solve_adjoint1, solve_adjoint2_limit,
-                                  solve_adjoint2_mollified, terminal_distance)
+                                  _qcouple, _smoothed, solve_adjoint1,
+                                  solve_adjoint2_limit, solve_adjoint2_mollified,
+                                  terminal_distance)
 from spde_control.ensemble import PathEnsemble
 from spde_control.forward import simulate_state
-from spde_control.operators import ImplicitStepper
+from spde_control.grids import Field, Grid1D
+from spde_control.operators import EllipticOperator, ImplicitStepper
 from spde_control.verify import affine_ansatz_oracle, zero_noise_oracle
 
 
@@ -36,7 +39,8 @@ def test_projection_recovers_functions_of_the_features():
     gen = np.random.Generator(np.random.Philox(key=4))
     feats = np.column_stack([np.ones(200), gen.normal(size=(200, 3))])
     target = 2.0 + feats[:, 1] - 0.5 * feats[:, 3]
-    fitted, cond = _project(feats, target)
+    Qr, cond = _project(feats)
+    fitted = Qr @ (Qr.T @ target)
     assert np.allclose(fitted, target, atol=1e-10)
     assert cond < 1e3
 
@@ -47,9 +51,34 @@ def test_projection_prunes_collinear_columns():
     feats = np.column_stack([np.ones(300), base, base[:, 0] + base[:, 1],
                              np.full(300, 3.7)])
     target = base[:, 0] - base[:, 1]
-    fitted, cond = _project(feats, target)
+    Qr, cond = _project(feats)
+    # the constant, the collinear sum and the second constant are pruned
+    assert Qr.shape == (300, 3)
+    fitted = Qr @ (Qr.T @ target)
     assert np.allclose(fitted, target, atol=1e-10)
     assert cond < 1e3
+
+
+@pytest.mark.parametrize("kind", ["laplacian", "divergence_form"])
+def test_resolvent_on_coefficients_equals_resolvent_on_paths(kind):
+    # the projector acts on the path axis and the resolvent on the space
+    # axes: solving the coefficients and lifting once is the path solve
+    gen = np.random.Generator(np.random.Philox(key=6))
+    n, m, K = 8, 120, 2
+    grid = Grid1D(0.0, 1.0, n)
+    op = (EllipticOperator() if kind == "laplacian" else EllipticOperator(
+        kind, Field(grid, 1.0 + 0.5 * np.sin(np.pi * grid.nodes))))
+    stepper = ImplicitStepper(grid, op, dt=0.05)
+    feats = np.column_stack([np.ones(m), gen.normal(size=(m, 4))])
+    Qr, _ = _project(feats)
+    for target, solve in ((gen.normal(size=(m, n)), stepper.solve1),
+                          (gen.normal(size=(m, K, n)), stepper.solve1),
+                          (gen.normal(size=(m, n, n)), stepper.solve2),
+                          (gen.normal(size=(m, K, n, n)), stepper.solve2)):
+        flat = target.reshape(m, -1)
+        ref = solve((Qr @ (Qr.T @ flat)).reshape(target.shape))
+        out = _smoothed(Qr, target, solve)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_too_many_features_for_the_ensemble_is_refused():
@@ -214,6 +243,36 @@ def test_mean_method_solves_one_block(monkeypatch):
     assert set(sizes) == {1}
     assert pair1.p.shape == (scn.n_t + 1, 50, 8)
     assert pair2.P0.shape == (50, 8, 8)
+
+
+def test_regress_method_fits_once_per_step(monkeypatch):
+    # one fit per step serves both targets and every width, and the
+    # resolvent solves the regression coefficients, not the M paths
+    scn = make_scenario("bilinear", n=8, n_t=16)
+    ens, xbar, pair1 = _solved(scn, 200)
+    fits, sizes = [], []
+    project = adjoint._project
+
+    def count(feats):
+        fits.append(len(feats))
+        return project(feats)
+
+    monkeypatch.setattr(adjoint, "_project", count)
+    orig = ImplicitStepper.solve2
+
+    def record(self, rhs):
+        sizes.append(rhs.shape[0])
+        return orig(self, rhs)
+
+    monkeypatch.setattr(ImplicitStepper, "solve2", record)
+    h2 = scn.grid.h ** 2
+    rep = solve_adjoint2_limit(scn, xbar, scn.base_control, ens, pair1,
+                               etas=[16 * h2, 8 * h2, 4 * h2])
+    assert len(fits) == scn.n_t
+    assert len(sizes) == 2 * 3 * scn.n_t
+    assert max(sizes) <= RegressionBasis(scn.grid, scn.op).n_features
+    assert 1 <= rep.finest.diagnostics["min_rank"] <= max(sizes)
+    assert rep.finest.P0.shape == (200, 8, 8)
 
 
 def test_ladder_needs_at_least_two_widths():
