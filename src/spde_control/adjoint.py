@@ -11,9 +11,9 @@ The second-order pair lives on the square; its terminal condition is the
 heat-kernel mollification of the diagonal curvature distribution.  A single
 width (solve_adjoint2_mollified) and a vanishing-width ladder
 (solve_adjoint2_limit) run one backward kernel that marches every width in
-lockstep.  Both solvers expose a step hook so that pairings with forward
-sources can be accumulated during the sweep without storing the backward
-trajectory.
+lockstep.  The first-order and the single-width solvers expose a step hook
+so that pairings with forward sources can be accumulated during the sweep
+without storing the backward trajectory.
 """
 from __future__ import annotations
 
@@ -37,35 +37,24 @@ class RegressionError(RuntimeError):
 
 
 class RegressionBasis:
-    """Feature map for conditional-expectation regressions.
-
-    Features are a constant plus the leading spectral coefficients of the
-    state (optionally with their pairwise products).  Columns that are
+    """Feature map for conditional-expectation regressions: a constant plus
+    the 8 leading spectral coefficients of the state.  Columns that are
     constant across the ensemble -- e.g. at t = 0, or throughout a
     deterministic run -- carry no information and are dropped before the
     solve; the conditioning check applies to the retained columns.
     """
 
-    def __init__(self, grid, op: EllipticOperator = EllipticOperator(),
-                 n_modes: int = 8, include_pairs: bool = False):
-        basis = SpectralBasis.build(grid, op)
-        self.n_modes = min(n_modes, grid.n)
-        self.include_pairs = include_pairs
-        self._V = basis.vectors[:, :self.n_modes]
+    def __init__(self, grid, op: EllipticOperator = EllipticOperator()):
+        self._V = SpectralBasis.build(grid, op).vectors[:, :8]
         self._sqh = np.sqrt(grid.h)
 
     @property
     def n_features(self) -> int:
-        j = self.n_modes
-        return 1 + j + (j * (j + 1)) // 2 if self.include_pairs else 1 + j
+        return 1 + self._V.shape[1]
 
     def features(self, x: np.ndarray) -> np.ndarray:
-        c = self._sqh * (x @ self._V)
-        cols = [np.ones((len(x), 1)), c]
-        if self.include_pairs:
-            i, j = np.triu_indices(self.n_modes)
-            cols.append(c[:, i] * c[:, j])
-        return np.concatenate(cols, axis=1)
+        return np.concatenate([np.ones((len(x), 1)), self._sqh * (x @ self._V)],
+                              axis=1)
 
 
 def _project(feats: np.ndarray):
@@ -107,8 +96,7 @@ def _smoothed(Qr: Optional[np.ndarray], target: np.ndarray, solve):
     return np.tensordot(Qr, solve(np.tensordot(Qr, target, axes=(0, 0))), axes=1)
 
 
-def _step_fit(scn: Scenario, m: int, method: str,
-              reg_basis: Optional[RegressionBasis]):
+def _step_fit(scn: Scenario, m: int, method: str):
     """Validate the conditional-expectation method; return fit(x), the one
     regression fit of a step on the features of x (None under "mean"), and
     the diagnostics in which it books the Gram condition and retained rank.
@@ -118,8 +106,7 @@ def _step_fit(scn: Scenario, m: int, method: str,
     """
     if method not in ("regress", "mean"):
         raise ValueError(f"unknown conditional-expectation method {method!r}")
-    if method == "regress" and reg_basis is None:
-        reg_basis = RegressionBasis(scn.grid, scn.op)
+    reg_basis = RegressionBasis(scn.grid, scn.op) if method == "regress" else None
     if reg_basis is not None and reg_basis.n_features > max(m // 20, 2):
         raise RegressionError(
             f"{reg_basis.n_features} features for {m} paths; need M >= 20 F")
@@ -165,8 +152,7 @@ class BackwardPair1:
 
 
 def solve_adjoint1(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
-                   ens: PathEnsemble, method: str = "regress",
-                   reg_basis: RegressionBasis = None, store: bool = True,
+                   ens: PathEnsemble, method: str = "regress", store: bool = True,
                    step_hook: Callable = None) -> BackwardPair1:
     """Backward sweep for the first-order adjoint pair along xbar.
 
@@ -178,7 +164,7 @@ def solve_adjoint1(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
     regression error.
     """
     m, n, K = ens.n_paths, scn.grid.n, scn.n_modes
-    fit, diag = _step_fit(scn, m, method, reg_basis)
+    fit, diag = _step_fit(scn, m, method)
     stepper = _stepper(scn)
     p = scn.coeffs.h_x(xbar.final)
     p_store = np.empty((scn.n_t + 1, m, n)) if store else None
@@ -221,26 +207,25 @@ class BackwardPair2:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _sweep2(scn, xbar, ubar, ens, pair1, etas, method, reg_basis,
-            store_steps, step_hook):
-    """Backward sweep of the mollified second-order pair with every width
-    in etas marching in lockstep, so memory stays at a few (M, n, n) blocks
-    per width and the squared Cauchy increments between consecutive widths
-    stream step by step.  store_steps, step_hook and max_asymmetry apply to
-    the last width.  Returns the per-width P_0 and a-priori statistics, the
-    squared increments, the stored steps and the diagnostics.
+def _sweep2(scn, xbar, ubar, ens, pair1, Ps, method, store_steps, step_hook):
+    """Backward sweep of the mollified second-order pair from the terminal
+    conditions Ps, one per width, with every width marching in lockstep, so
+    memory stays at a few (M, n, n) blocks per width and the squared Cauchy
+    increments between consecutive widths stream step by step.  Ps is
+    overwritten step by step and ends holding the per-width P_0.
+    store_steps, step_hook and max_asymmetry apply to the last width.
+    Returns the per-width a-priori statistics, the squared increments, the
+    stored steps and the diagnostics.
     """
-    fit, diag = _step_fit(scn, ens.n_paths, method, reg_basis)
+    fit, diag = _step_fit(scn, ens.n_paths, method)
     stepper = _stepper(scn)
     basis2 = SpectralBasis.build(scn.grid.square(), scn.op)
     h, dt = scn.grid.h, scn.dt
     idx = np.arange(scn.grid.n)
-    last = len(etas) - 1
-    Ps = [mollified_terminal_batch(xbar.final, scn.coeffs.h_xx, scn.grid, eta)
-          for eta in etas]
+    last = len(Ps) - 1
     sup_hm1 = [float(np.mean(sobolev_norms_batch(P, basis2, -1.0) ** 2))
                for P in Ps]
-    int_l2 = [0.0] * len(etas)
+    int_l2 = [0.0] * len(Ps)
     cauchy_sq = [0.0] * last
     stored = {}
     max_asym = 0.0
@@ -275,13 +260,12 @@ def _sweep2(scn, xbar, ubar, ens, pair1, etas, method, reg_basis,
             cauchy_sq[i] += dt * float(np.mean(sq))
     stats = [s + l2 for s, l2 in zip(sup_hm1, int_l2)]
     diag["max_asymmetry"] = max_asym
-    return Ps, stats, cauchy_sq, stored, diag
+    return stats, cauchy_sq, stored, diag
 
 
 def solve_adjoint2_mollified(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
                              ens: PathEnsemble, pair1: BackwardPair1, eta: float,
                              method: str = "regress",
-                             reg_basis: RegressionBasis = None,
                              store_steps=(), step_hook: Callable = None) -> BackwardPair2:
     """Backward sweep for the mollified second-order adjoint.
 
@@ -296,9 +280,9 @@ def solve_adjoint2_mollified(scn: Scenario, xbar: Trajectory, ubar: ControlProce
     is accumulated during the sweep.  This is the lockstep kernel of
     solve_adjoint2_limit run at the single width eta.
     """
-    Ps, stats, _, stored, diag = _sweep2(scn, xbar, ubar, ens, pair1, [eta],
-                                         method, reg_basis, store_steps,
-                                         step_hook)
+    Ps = [mollified_terminal_batch(xbar.final, scn.coeffs.h_xx, scn.grid, eta)]
+    stats, _, stored, diag = _sweep2(scn, xbar, ubar, ens, pair1, Ps, method,
+                                     store_steps, step_hook)
     return BackwardPair2(eta, Ps[0], stored, stats[0], diag)
 
 
@@ -315,39 +299,38 @@ class EtaLadderReport:
     finest: BackwardPair2
 
 
-def terminal_distance(scn: Scenario, xbarT: np.ndarray, eta: float) -> float:
-    """H^-1 distance between the mollified terminal condition and the
+def terminal_distance(scn: Scenario, xbarT: np.ndarray, moll: np.ndarray) -> float:
+    """H^-1 distance between the mollified terminal condition moll and the
     diagonal curvature distribution, averaged over paths."""
     basis2 = SpectralBasis.build(scn.grid.square(), scn.op)
-    moll = mollified_terminal_batch(xbarT, scn.coeffs.h_xx, scn.grid, eta)
-    curv = np.asarray(scn.coeffs.h_xx(xbarT), dtype=float)
-    sharp = np.zeros(moll.shape)
+    diff = moll.copy()
     idx = np.arange(scn.grid.n)
-    sharp[..., idx, idx] = curv / scn.grid.h
-    return float(np.mean(sobolev_norms_batch(moll - sharp, basis2, -1.0)))
+    diff[..., idx, idx] -= np.asarray(scn.coeffs.h_xx(xbarT), dtype=float) / scn.grid.h
+    return float(np.mean(sobolev_norms_batch(diff, basis2, -1.0)))
 
 
 def solve_adjoint2_limit(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
-                         ens: PathEnsemble, pair1: BackwardPair1, etas,
-                         method: str = "regress",
-                         reg_basis: RegressionBasis = None,
-                         store_steps=(), step_hook: Callable = None) -> EtaLadderReport:
+                         ens: PathEnsemble, pair1: BackwardPair1,
+                         etas) -> EtaLadderReport:
     """Solve the mollified pair along a decreasing ladder of widths.
 
     All widths run through the one lockstep kernel that also serves
     solve_adjoint2_mollified, so the finest pair equals a single-width
-    solve at that width bit for bit.  Consecutive solutions are compared in
-    L2([0, T] x paths; L2(square)) to certify Cauchy behaviour; the
-    finest-width pair is returned as the limit representative.  step_hook
-    applies to the finest sweep only.
+    solve at that width bit for bit.  Each width's terminal condition is
+    built once: its distance to the diagonal curvature distribution is
+    taken before the sweep starts from it.  Consecutive solutions are
+    compared in L2([0, T] x paths; L2(square)) to certify Cauchy
+    behaviour; the finest-width pair is returned as the limit
+    representative.
     """
     etas = sorted(etas, reverse=True)
     if len(etas) < 2:
         raise ValueError("eta ladder needs at least two widths")
-    Ps, stats, cauchy_sq, stored, diag = _sweep2(
-        scn, xbar, ubar, ens, pair1, etas, method, reg_basis, store_steps,
-        step_hook)
-    dists = [terminal_distance(scn, xbar.final, eta) for eta in etas]
+    Ps = [mollified_terminal_batch(xbar.final, scn.coeffs.h_xx, scn.grid, eta)
+          for eta in etas]
+    dists = [terminal_distance(scn, xbar.final, P) for P in Ps]
+    stats, cauchy_sq, stored, diag = _sweep2(scn, xbar, ubar, ens, pair1, Ps,
+                                             "regress", (), None)
     increments = [float(np.sqrt(v)) for v in cauchy_sq]
     finest = BackwardPair2(etas[-1], Ps[-1], stored, stats[-1], diag)
     return EtaLadderReport(list(etas), stats, dists, increments, finest)

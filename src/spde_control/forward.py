@@ -1,14 +1,18 @@
-"""Path simulation: state equation, spike-perturbed state, first and second
-order response equations, and the associated product process on the square.
+"""Path simulation: the state equation, the spike-perturbed state, and the
+linearizations along a reference pair: first and second order responses
+and the product process on the square.
 
 Time stepping is semi-implicit Euler-Maruyama, implicit only in the linear
 elliptic part: (I - dt A) x_{k+1} = x_k + dt drift(x_k) + diffusion(x_k) dW_k.
+Both sourced linear kernels (simulate_linear, simulate_tensor) linearize
+along the reference once per step and take source providers k -> arrays.
 All simulations of one experiment share a PathEnsemble (common random
 numbers) and are vectorized over paths; reductions run in fixed order so
 repeated runs are bit-identical.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -31,7 +35,7 @@ class BlowUpError(RuntimeError):
 class Trajectory:
     """Stored path ensemble trajectory and its final value."""
 
-    values: Optional[np.ndarray]  # (n_t+1, M, n) or (n_t+1, M, n, n)
+    values: Optional[np.ndarray]  # (n_t+1, M, n), or (n_t+1, J, M, n)
     final: np.ndarray
 
     def __getitem__(self, k):
@@ -67,10 +71,16 @@ def _step1(stepper: ImplicitStepper, dt: float, y: np.ndarray, drift,
 def _step_linear(stepper: ImplicitStepper, dt: float, y: np.ndarray, terms,
                  dwk: np.ndarray) -> np.ndarray:
     """One step of the sourced linear equation with terms (a, s, phi, psi):
-    drift a y + phi, per-mode diffusion s y + psi."""
+    drift a y + phi, per-mode diffusion s y + psi.  Leading axes of y
+    beyond the paths (e.g. probes) carry through."""
     a, s, phi, psi = terms
     return _step1(stepper, dt, y, a * y + phi,
-                  np.einsum("pnk,pk->pn", s * y[..., None] + psi, dwk))
+                  np.einsum("...nk,...k->...n", s * y[..., None] + psi, dwk))
+
+
+def _source(provider: Optional[Callable], k: int):
+    """The source of an optional provider at step k; None means zero."""
+    return None if provider is None else provider(k)
 
 
 def simulate_state(scn: Scenario, u: ControlProcess, ens: PathEnsemble,
@@ -99,27 +109,34 @@ def simulate_state(scn: Scenario, u: ControlProcess, ens: PathEnsemble,
     return Trajectory(values, x)
 
 
-def simulate_linear(scn: Scenario, sys: Callable, ens: PathEnsemble,
+def simulate_linear(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
+                    ens: PathEnsemble, phi: Callable = None, psi: Callable = None,
                     store: bool = True, step_hook: Callable = None) -> Trajectory:
-    """Simulate a sourced linear equation (zero initial condition) with the
-    same semi-implicit scheme and frozen adapted coefficients.
+    """Simulate the linearization along (xbar, ubar) with zero initial
+    condition; b_x and sigma_x_eff are evaluated once per step.
 
-    sys(k) is called once per step and returns (a, s, phi, psi): the drift
-    multiplier (M, n), the diffusion multiplier (M, n, K) and the drift and
-    diffusion sources, which need only broadcast to those shapes.
+    phi/psi are per-step source providers k -> arrays broadcasting to
+    (M, n) and (M, n, K); None, or a None return, means zero.  Sources with
+    a leading axis, e.g. (J, 1, n) probes, march J equations in one sweep:
+    y is then (J, M, n) from the first step on.
     """
-    m, n = ens.n_paths, scn.grid.n
     stepper = _stepper(scn)
-    y = np.zeros((m, n))
-    values = np.empty((scn.n_t + 1, m, n)) if store else None
-    if store:
-        values[0] = y
+    y = np.zeros((ens.n_paths, scn.grid.n))
+    values = None
     for k in range(scn.n_t):
         if step_hook is not None:
             step_hook(k, y)
-        y = _step_linear(stepper, scn.dt, y, sys(k), ens.dW[:, k])
+        x = xbar[k]
+        ub = ubar.evaluate(k, scn, x)
+        phik, psik = _source(phi, k), _source(psi, k)
+        y = _step_linear(stepper, scn.dt, y,
+                         (scn.coeffs.b_x(x, ub), scn.sigma_x_eff(x, ub),
+                          0.0 if phik is None else phik,
+                          0.0 if psik is None else psik), ens.dW[:, k])
         _check_finite(y, k + 1)
         if store:
+            if values is None:  # the shape is known once sources broadcast
+                values = np.zeros((scn.n_t + 1,) + y.shape)
             values[k + 1] = y
     return Trajectory(values, y)
 
@@ -145,8 +162,9 @@ def tensor_noise(sx: np.ndarray, dwk: np.ndarray, Y: np.ndarray,
 
 def simulate_tensor(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
                     ens: PathEnsemble, phi: Callable = None, psi: Callable = None,
-                    store: bool = True, step_hook: Callable = None) -> Trajectory:
-    """Simulate the product-space linear equation on the square.
+                    step_hook: Callable = None) -> Trajectory:
+    """Simulate the product-space linearization along (xbar, ubar) on the
+    square, keeping only the final value (step_hook sees every step).
 
     The elliptic part is the Kronecker-sum operator; the drift multiplier
     couples both coordinates of the reference state and the diffusion
@@ -154,12 +172,8 @@ def simulate_tensor(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
     providers k -> arrays broadcasting to (M, n, n) and (M, n, n, K);
     None, or a None return, means zero.
     """
-    m, n = ens.n_paths, scn.grid.n
     stepper = _stepper(scn)
-    Y = np.zeros((m, n, n))
-    values = np.empty((scn.n_t + 1, m, n, n)) if store else None
-    if store:
-        values[0] = Y
+    Y = np.zeros((ens.n_paths, scn.grid.n, scn.grid.n))
     for k in range(scn.n_t):
         if step_hook is not None:
             step_hook(k, Y)
@@ -167,35 +181,27 @@ def simulate_tensor(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
         ub = ubar.evaluate(k, scn, x)
         sx = scn.sigma_x_eff(x, ub)
         drift = tensor_drift(scn.coeffs.b_x(x, ub), sx) * Y
-        phik = phi(k) if phi is not None else None
+        phik = _source(phi, k)
         if phik is not None:
             drift = drift + phik
-        psik = psi(k) if psi is not None else None
-        noise = tensor_noise(sx, ens.dW[:, k], Y, psik)
+        noise = tensor_noise(sx, ens.dW[:, k], Y, _source(psi, k))
         Y = stepper.solve2(Y + scn.dt * drift + noise)
         _check_finite(Y, k + 1)
-        if store:
-            values[k + 1] = Y
-    return Trajectory(values, Y)
+    return Trajectory(None, Y)
 
 
-# -- linearizations along a reference path ----------------------------------
+# -- spike sources along a reference path ------------------------------------
 
-def _first_variation(scn, x, ub, ue, base=None):
-    """First-order response terms at one step: the linearization b_x,
-    sigma_x along (x, ub), and the sources b(x, ue) - b(x, ub) and
-    sigma(x, ue) - sigma(x, ub) of the spiked control ue, reusing base =
+def _jumps(scn, x, ub, ue, base=None):
+    """Coefficient jumps of the spiked control ue at one step, b(x, ue) -
+    b(x, ub) and sigma_eff(x, ue) - sigma_eff(x, ub), reusing base =
     (b(x, ub), per-node sigma(x, ub)) when given."""
-    a, s = scn.coeffs.b_x(x, ub), scn.sigma_x_eff(x, ub)
-    if ue is None:
-        return a, s, 0.0, 0.0
     b_b, sig_b = base or (scn.coeffs.b(x, ub), scn.coeffs.sigma(x, ub))
-    return (a, s, scn.coeffs.b(x, ue) - b_b,
-            scn.sigma_eff(x, ue) - scn._shaped(sig_b))
+    return scn.coeffs.b(x, ue) - b_b, scn.sigma_eff(x, ue) - scn._shaped(sig_b)
 
 
 def _second_variation(scn, x, ub, ue, y, a, s):
-    """Second-order response terms at one step, given the first-order
+    """Second-order response sources at one step, given the first-order
     response y and the linearization (a, s) along (x, ub): quadratic
     curvature sources in y plus, on the spike window, the derivative jumps
     acting on y."""
@@ -204,7 +210,7 @@ def _second_variation(scn, x, ub, ue, y, a, s):
     if ue is not None:
         phi = phi + (scn.coeffs.b_x(x, ue) - a) * y
         psi = psi + (scn.sigma_x_eff(x, ue) - s) * y[..., None]
-    return a, s, phi, psi
+    return phi, psi
 
 
 def _spiked(ueps: ControlProcess, k: int, scn: Scenario, x):
@@ -214,35 +220,33 @@ def _spiked(ueps: ControlProcess, k: int, scn: Scenario, x):
     return ueps.evaluate(k, scn, x)
 
 
-def first_variation_system(scn, xbar: Trajectory, ubar: ControlProcess,
-                           ueps: ControlProcess) -> Callable:
-    """Linearization along xbar sourced by the control perturbation, as a
-    system sys(k) -> (a, s, phi, psi) for simulate_linear: the drift
-    source is b(xbar, u_eps) - b(xbar, ubar) and analogously for the
-    diffusion, both vanishing off the spike window."""
-
-    def sys(k):
+def _spike_jumps(scn, xbar: Trajectory, ubar: ControlProcess,
+                 ueps: ControlProcess) -> Callable:
+    """k -> (x, ub, db, ds) along xbar on the spike window, None off it;
+    the last step is kept, so a phi/psi pair evaluates it once."""
+    @functools.lru_cache(maxsize=1)
+    def at(k):
         x = xbar[k]
-        return _first_variation(scn, x, ubar.evaluate(k, scn, x),
-                                _spiked(ueps, k, scn, x))
-
-    return sys
-
-
-def probe_system(scn, xbar: Trajectory, ubar: ControlProcess,
-                 phi: np.ndarray, psi: np.ndarray) -> Callable:
-    """Linearization along xbar driven by deterministic probe sources
-    phi (n_t, n) and psi (n_t, n, K), as a system sys(k) -> (a, s, phi_k,
-    psi_k) for simulate_linear; the sources broadcast over the paths."""
-    phi = np.asarray(phi, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-
-    def sys(k):
-        x = xbar[k]
+        ue = _spiked(ueps, k, scn, x)
+        if ue is None:
+            return None
         ub = ubar.evaluate(k, scn, x)
-        return scn.coeffs.b_x(x, ub), scn.sigma_x_eff(x, ub), phi[k], psi[k]
+        return (x, ub) + _jumps(scn, x, ub, ue)
 
-    return sys
+    return at
+
+
+def spike_sources(scn, xbar: Trajectory, ubar: ControlProcess,
+                  ueps: ControlProcess):
+    """Source pair (phi, psi) driving the first-order response to the
+    spike in simulate_linear: b(xbar, u_eps) - b(xbar, ubar) and the
+    analogous diffusion jump, both vanishing off the spike window."""
+    at = _spike_jumps(scn, xbar, ubar, ueps)
+
+    def source(i):
+        return lambda k: None if at(k) is None else at(k)[i]
+
+    return source(2), source(3)
 
 
 def spike_tensor_sources(scn, xbar: Trajectory, ubar: ControlProcess,
@@ -252,18 +256,14 @@ def spike_tensor_sources(scn, xbar: Trajectory, ubar: ControlProcess,
     Both sources combine the response with the spike-window coefficient
     increments symmetrically in the two coordinates; they vanish off the
     spike window."""
-
-    def controls(k):
-        x = xbar[k]
-        ue = _spiked(ueps, k, scn, x)
-        return None if ue is None else (x, ubar.evaluate(k, scn, x), ue)
+    at = _spike_jumps(scn, xbar, ubar, ueps)
 
     def phi(k):
-        c = controls(k)
+        c = at(k)
         if c is None:
             return None
-        _, sx, db, ds = _first_variation(scn, *c)
-        yk = y[k]
+        x, ub, db, ds = c
+        sx, yk = scn.sigma_x_eff(x, ub), y[k]
         out = yk[:, :, None] * db[:, None, :] + yk[:, None, :] * db[:, :, None]
         dsT = np.swapaxes(ds, 1, 2)
         cross = (sx * yk[..., None]) @ dsT
@@ -272,11 +272,10 @@ def spike_tensor_sources(scn, xbar: Trajectory, ubar: ControlProcess,
         return out
 
     def psi(k):
-        c = controls(k)
+        c = at(k)
         if c is None:
             return None
-        x, ub, ue = c
-        ds, yk = scn.sigma_eff(x, ue) - scn.sigma_eff(x, ub), y[k]
+        ds, yk = c[3], y[k]
         return (ds[:, :, None, :] * yk[:, None, :, None]
                 + ds[:, None, :, :] * yk[:, :, None, None])
 
@@ -359,15 +358,17 @@ def spike_expansion_stats(scn: Scenario, ubar: ControlProcess, v, tau: float,
         ue = ueps.evaluate(k, scn, xe)
         spike = ue if ueps.active(k, scn) else None
         b_b, sig_b = scn.coeffs.b(xb, ub), scn.coeffs.sigma(xb, ub)
-        lin = _first_variation(scn, xb, ub, spike, (b_b, sig_b))
-        quad = _second_variation(scn, xb, ub, spike, y, lin[0], lin[1])
+        a, s = scn.coeffs.b_x(xb, ub), scn.sigma_x_eff(xb, ub)
+        jumps = (0.0, 0.0) if spike is None else _jumps(scn, xb, ub, spike,
+                                                        (b_b, sig_b))
+        quad = _second_variation(scn, xb, ub, spike, y, a, s)
         dwk = ens.dW[:, k]
         xb, xe, y, z = (
             _step1(stepper, scn.dt, xb, b_b, _node_noise(scn, sig_b, dwk)),
             _step1(stepper, scn.dt, xe, scn.coeffs.b(xe, ue),
                    _node_noise(scn, scn.coeffs.sigma(xe, ue), dwk)),
-            _step_linear(stepper, scn.dt, y, lin, dwk),
-            _step_linear(stepper, scn.dt, z, quad, dwk))
+            _step_linear(stepper, scn.dt, y, (a, s) + jumps, dwk),
+            _step_linear(stepper, scn.dt, z, (a, s) + quad, dwk))
         _check_finite(xe, k + 1)
         y_sq[k + 1] = h * np.sum(y ** 2, axis=-1)
         z_nrm[k + 1] = np.sqrt(h * np.sum(z ** 2, axis=-1))

@@ -82,13 +82,6 @@ class Field:
     def zero(cls, grid: Grid1D) -> "Field":
         return cls(grid, np.zeros(grid.n))
 
-    @classmethod
-    def from_function(cls, grid: Grid1D, f) -> "Field":
-        return cls(grid, np.asarray(f(grid.nodes), dtype=float))
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
 
 @dataclass
 class TensorField:
@@ -111,17 +104,10 @@ class TensorField:
                 raise ValueError(f"symmetric flag set but max asymmetry is {asym:.3e}")
 
     @classmethod
-    def zero(cls, grid: Grid2D) -> "TensorField":
-        return cls(grid, np.zeros((grid.n, grid.n)), symmetric=True)
-
-    @classmethod
     def outer(cls, f: Field, g: Field) -> "TensorField":
         if f.grid != g.grid:
             raise GridMismatchError("outer product needs matching grids")
         return cls(Grid2D(f.grid), np.outer(f.values, g.values))
-
-    def copy(self) -> "TensorField":
-        return TensorField(self.grid, self.values.copy(), self.symmetric)
 
 
 # -- discrete inner products / norms ---------------------------------------

@@ -16,10 +16,9 @@ import numpy as np
 
 from .adjoint import _curvature, solve_adjoint1, solve_adjoint2_mollified
 from .ensemble import PathEnsemble
-from .forward import (BlowUpError, first_variation_system, probe_system,
-                      simulate_cost, simulate_linear, simulate_state,
-                      simulate_tensor, spike_expansion_stats,
-                      spike_tensor_sources)
+from .forward import (BlowUpError, simulate_cost, simulate_linear,
+                      simulate_state, simulate_tensor, spike_expansion_stats,
+                      spike_sources, spike_tensor_sources)
 from .grids import Field
 from .operators import heat_mollifier, mollified_terminal_batch
 from .scenario import (ControlProcess, DeterministicControl, Scenario,
@@ -102,20 +101,21 @@ def check_duality1(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
 
     solve_adjoint1(scn, xbar, ubar, ens, store=False, step_hook=backward_hook)
 
-    rows = []
-    hx_T = scn.coeffs.h_x(xbar.final)
-    for j, (phi, psi) in enumerate(probes):
-        sys = probe_system(scn, xbar, ubar, phi, psi)
-        lhs_acc = np.zeros(m)
+    # probes on a leading axis: one sweep marches every response (J, M, n)
+    phis = np.stack([phi for phi, _ in probes], axis=1)[:, :, None]
+    psis = np.stack([psi for _, psi in probes], axis=1)[:, :, None]
+    lhs_acc = np.zeros((len(probes), m))
 
-        def forward_hook(k, y):
-            x = xbar[k]
-            uk = ubar.evaluate(k, scn, x)
-            lhs_acc[:] += dt * h * np.sum(scn.coeffs.l_x(x, uk) * y, axis=-1)
+    def forward_hook(k, y):
+        x = xbar[k]
+        uk = ubar.evaluate(k, scn, x)
+        lhs_acc[:] += dt * h * np.sum(scn.coeffs.l_x(x, uk) * y, axis=-1)
 
-        traj = simulate_linear(scn, sys, ens, store=False, step_hook=forward_hook)
-        lhs_acc += h * np.sum(hx_T * traj.final, axis=-1)
-        rows.append(_duality_row(j, lhs_acc, rhs_acc[j]))
+    traj = simulate_linear(scn, xbar, ubar, ens, phi=lambda k: phis[k],
+                           psi=lambda k: psis[k], store=False,
+                           step_hook=forward_hook)
+    lhs_acc += h * np.sum(scn.coeffs.h_x(xbar.final) * traj.final, axis=-1)
+    rows = [_duality_row(j, lhs_acc[j], rhs_acc[j]) for j in range(len(probes))]
     return DualityReport(rows, max(r["gap"] for r in rows))
 
 
@@ -185,7 +185,7 @@ def check_duality2(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
         traj = simulate_tensor(scn, xbar, ubar, ens,
                                phi=lambda k, Phi=Phi: Phi[k],
                                psi=lambda k, Psi=Psi: Psi[k],
-                               store=False, step_hook=forward_hook)
+                               step_hook=forward_hook)
         lhs_acc += h ** 2 * np.einsum("pij,pij->p", PT, traj.final)
         rows.append(_duality_row(j, lhs_acc, rhs_acc[j]))
     return DualityReport(rows, max(r["gap"] for r in rows))
@@ -198,10 +198,10 @@ def check_tensor_identity(scn: Scenario, ubar: ControlProcess, v, tau: float,
     xbar = simulate_state(scn, ubar, ens, store=True)
     ueps = SpikeControl(ubar, v, tau, eps)
     ueps.validate_horizon(scn.T)
-    y = simulate_linear(scn, first_variation_system(scn, xbar, ubar, ueps),
-                        ens, store=True)
+    phi, psi = spike_sources(scn, xbar, ubar, ueps)
+    y = simulate_linear(scn, xbar, ubar, ens, phi=phi, psi=psi)
     phi, psi = spike_tensor_sources(scn, xbar, ubar, ueps, y)
-    Y = simulate_tensor(scn, xbar, ubar, ens, phi=phi, psi=psi, store=False)
+    Y = simulate_tensor(scn, xbar, ubar, ens, phi=phi, psi=psi)
     outer = y.final[:, :, None] * y.final[:, None, :]
     h = scn.grid.h
     diff_norm = h * np.linalg.norm((Y.final - outer).reshape(len(outer), -1),

@@ -4,12 +4,11 @@ import pytest
 
 from helpers import cost, make_scenario
 from spde_control.ensemble import PathEnsemble
-from spde_control.forward import (BlowUpError, _first_variation,
-                                  _second_variation, first_variation_system, probe_system,
+from spde_control.forward import (BlowUpError, _second_variation,
                                   simulate_cost, simulate_linear,
                                   simulate_state, simulate_tensor,
-                                  spike_expansion_stats, tensor_drift,
-                                  tensor_noise)
+                                  spike_expansion_stats, spike_sources,
+                                  tensor_drift, tensor_noise)
 from spde_control.operators import ImplicitStepper, SpectralBasis
 from spde_control.scenario import DeterministicControl, SpikeControl
 from spde_control.verify import make_tensor_probes, zero_noise_oracle
@@ -117,11 +116,33 @@ def test_linear_equation_is_linear_in_the_sources():
     gen = np.random.Generator(np.random.Philox(key=2))
     phi = gen.normal(size=(scn.n_t, scn.grid.n))
     psi = gen.normal(size=(scn.n_t, scn.grid.n, scn.n_modes))
-    y1 = simulate_linear(scn, probe_system(scn, xbar, scn.base_control,
-                                           phi, psi), ens)
-    y3 = simulate_linear(scn, probe_system(scn, xbar, scn.base_control,
-                                           3.0 * phi, 3.0 * psi), ens)
+    y1 = simulate_linear(scn, xbar, scn.base_control, ens,
+                         phi=lambda k: phi[k], psi=lambda k: psi[k])
+    y3 = simulate_linear(scn, xbar, scn.base_control, ens,
+                         phi=lambda k: 3.0 * phi[k], psi=lambda k: 3.0 * psi[k])
     assert np.allclose(y3.final, 3.0 * y1.final, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("K, shapes", [(1, False), (2, True)])
+@pytest.mark.parametrize("preset", ["additive", "bilinear"])
+def test_stacked_probes_equal_single_probe_sweeps(preset, K, shapes):
+    # a leading probe axis on the sources marches every probe response in
+    # one sweep, bit for bit as one sweep per probe
+    scn = make_scenario(preset, n=8, n_t=32, K=K, shapes=shapes)
+    ens = PathEnsemble.for_scenario(scn, n_paths=30)
+    ubar = scn.base_control
+    xbar = simulate_state(scn, ubar, ens)
+    gen = np.random.Generator(np.random.Philox(key=3))
+    phis = gen.normal(size=(scn.n_t, 3, 1, scn.grid.n))
+    psis = gen.normal(size=(scn.n_t, 3, 1, scn.grid.n, K))
+    stacked = simulate_linear(scn, xbar, ubar, ens, phi=lambda k: phis[k],
+                              psi=lambda k: psis[k])
+    assert stacked.values.shape == (scn.n_t + 1, 3, 30, scn.grid.n)
+    for j in range(3):
+        single = simulate_linear(scn, xbar, ubar, ens,
+                                 phi=lambda k: phis[k, j, 0],
+                                 psi=lambda k: psis[k, j, 0])
+        assert np.array_equal(stacked.values[:, j], single.values)
 
 
 def test_first_variation_vanishes_without_a_spike():
@@ -129,8 +150,8 @@ def test_first_variation_vanishes_without_a_spike():
     ens = PathEnsemble.for_scenario(scn, n_paths=10)
     xbar = simulate_state(scn, scn.base_control, ens)
     ueps = SpikeControl(scn.base_control, [0.0], tau=0.2, eps=0.1)
-    sys = first_variation_system(scn, xbar, scn.base_control, ueps)
-    y = simulate_linear(scn, sys, ens)
+    phi, psi = spike_sources(scn, xbar, scn.base_control, ueps)
+    y = simulate_linear(scn, xbar, scn.base_control, ens, phi=phi, psi=psi)
     assert np.max(np.abs(y.values)) == 0.0
 
 
@@ -140,10 +161,14 @@ def test_tensor_simulation_preserves_symmetry():
     xbar = simulate_state(scn, scn.base_control, ens)
     Phi, Psi = make_tensor_probes(scn, 1)[0]
     m, n, K = 10, 8, scn.n_modes
+    steps = []
     Y = simulate_tensor(scn, xbar, scn.base_control, ens,
                         phi=lambda k: np.broadcast_to(Phi[k], (m, n, n)),
-                        psi=lambda k: np.broadcast_to(Psi[k], (m, n, n, K)))
-    asym = np.abs(Y.values - np.swapaxes(Y.values, -1, -2)).max()
+                        psi=lambda k: np.broadcast_to(Psi[k], (m, n, n, K)),
+                        step_hook=lambda k, Yk: steps.append(Yk))
+    values = np.array(steps + [Y.final])
+    assert values.shape == (scn.n_t + 1, m, n, n)
+    asym = np.abs(values - np.swapaxes(values, -1, -2)).max()
     assert asym < 1e-10
 
 
@@ -209,23 +234,24 @@ def test_spike_expansion_stats_sign_structure():
 
 def test_lockstep_stats_equal_the_variation_systems():
     # spike_expansion_stats marches y and z with the same step and source
-    # formulas as simulate_linear on the variation systems, bit for bit
+    # formulas as simulate_linear on the variation sources, bit for bit
     scn = make_scenario("logistic-drift", n=8, n_t=64, T=0.5)
     ens = PathEnsemble.for_scenario(scn, n_paths=40)
     ubar, h = scn.base_control, scn.grid.h
     ueps = SpikeControl(ubar, [0.8], tau=0.1, eps=0.05)
     xbar = simulate_state(scn, ubar, ens)
-    y = simulate_linear(scn, first_variation_system(scn, xbar, ubar, ueps),
-                        ens)
+    phi, psi = spike_sources(scn, xbar, ubar, ueps)
+    y = simulate_linear(scn, xbar, ubar, ens, phi=phi, psi=psi)
 
     def second(k):
         x = xbar[k]
         ub = ubar.evaluate(k, scn, x)
         ue = ueps.evaluate(k, scn, x) if ueps.active(k, scn) else None
-        a, s, _, _ = _first_variation(scn, x, ub, ue)
-        return _second_variation(scn, x, ub, ue, y[k], a, s)
+        return _second_variation(scn, x, ub, ue, y[k], scn.coeffs.b_x(x, ub),
+                                 scn.sigma_x_eff(x, ub))
 
-    z = simulate_linear(scn, second, ens)
+    z = simulate_linear(scn, xbar, ubar, ens, phi=lambda k: second(k)[0],
+                        psi=lambda k: second(k)[1])
     st = spike_expansion_stats(scn, ubar, [0.8], tau=0.1, eps=0.05, ens=ens)
     y_sq = h * np.sum(y.values ** 2, axis=-1)
     z_nrm = np.sqrt(h * np.sum(z.values ** 2, axis=-1))

@@ -40,12 +40,6 @@ def test_field_shape_and_finiteness_checks():
         Field(grid, np.array([0.0, np.nan, 0.0, 0.0]))
 
 
-def test_field_from_function():
-    grid = Grid1D(0.0, 1.0, 15)
-    f = Field.from_function(grid, np.sin)
-    assert np.allclose(f.values, np.sin(grid.nodes))
-
-
 def test_tensor_symmetry_flag():
     grid = Grid1D(0.0, 1.0, 4).square()
     vals = np.arange(16.0).reshape(4, 4)
