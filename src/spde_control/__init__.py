@@ -17,9 +17,9 @@ from .scenario import (ConfigError, ControlSet, CoefficientSet,
                        Scenario, ScenarioValidationError, SpikeControl,
                        load_scenario, make_coefficients, validate_coefficients)
 from .ensemble import PathEnsemble
-from .forward import (BlowUpError, Trajectory, simulate_cost, simulate_linear,
-                      simulate_state, simulate_tensor, spike_expansion_stats,
-                      spike_sources, spike_tensor_sources)
+from .forward import (BlowUpError, Trajectory, simulate_cost, simulate_costs,
+                      simulate_linear, simulate_state, simulate_tensor,
+                      spike_expansion_stats, spike_sources, spike_tensor_sources)
 from .adjoint import (BackwardPair1, BackwardPair2, EtaLadderReport,
                       RegressionBasis, RegressionError, solve_adjoint1,
                       solve_adjoint2_limit, solve_adjoint2_mollified)

@@ -34,11 +34,16 @@ _RATE_STATS = {"y": "y_moment", "z": "z_moment", "residual": "residual",
 
 
 def _parse_eta(text: str, h: float) -> float:
-    """Width spec: plain float, or '<c>h2' meaning c * h^2."""
-    text = text.strip().lower()
-    if text.endswith("h2"):
-        return float(text[:-2] or "1") * h * h
-    return float(text)
+    """Width spec: plain float, or '<c>h2' meaning c * h^2; must be > 0."""
+    spec = text.strip().lower()
+    try:
+        eta = (float(spec[:-2] or "1") * h * h if spec.endswith("h2")
+               else float(spec))
+    except ValueError:
+        eta = float("nan")
+    if not eta > 0.0:
+        raise ConfigError(f"--eta must be a positive width, got {text!r}")
+    return eta
 
 
 def _parse_ladder(text: str):
@@ -107,7 +112,15 @@ def _csv(header_cols, rows, note: str) -> str:
 
 
 def _load(args):
+    if args.paths is not None and args.paths < 2:
+        raise ConfigError(f"--paths must be at least 2, got {args.paths}")
+    if args.seed is not None and not 0 <= args.seed < 2 ** 64:
+        raise ConfigError(f"--seed must be in [0, 2^64), got {args.seed}")
+    if getattr(args, "probes", 1) < 1:
+        raise ConfigError(f"--probes must be at least 1, got {args.probes}")
     scn = load_scenario(args.scenario)
+    if getattr(args, "eta", None) is not None:
+        _parse_eta(args.eta, scn.grid.h)
     overrides = {}
     if args.seed is not None:
         scn.seed = args.seed

@@ -6,6 +6,7 @@ Time stepping is semi-implicit Euler-Maruyama, implicit only in the linear
 elliptic part: (I - dt A) x_{k+1} = x_k + dt drift(x_k) + diffusion(x_k) dW_k.
 Both sourced linear kernels (simulate_linear, simulate_tensor) linearize
 along the reference once per step and take source providers k -> arrays.
+simulate_costs walks many controls as a trie, simulating a shared prefix once.
 All simulations of one experiment share a PathEnsemble (common random
 numbers) and are vectorized over paths; reductions run in fixed order so
 repeated runs are bit-identical.
@@ -71,11 +72,15 @@ def _step1(stepper: ImplicitStepper, dt: float, y: np.ndarray, drift,
 def _step_linear(stepper: ImplicitStepper, dt: float, y: np.ndarray, terms,
                  dwk: np.ndarray) -> np.ndarray:
     """One step of the sourced linear equation with terms (a, s, phi, psi):
-    drift a y + phi, per-mode diffusion s y + psi.  Leading axes of y
-    beyond the paths (e.g. probes) carry through."""
+    drift a y + phi, per-mode diffusion s y + psi, summed mode by mode as
+    in _node_noise.  Leading axes of y beyond the paths (e.g. probes)
+    carry through; a scalar psi is the source of every mode."""
     a, s, phi, psi = terms
-    return _step1(stepper, dt, y, a * y + phi,
-                  np.einsum("...nk,...k->...n", s * y[..., None] + psi, dwk))
+    psi = np.full(dwk.shape[1], psi) if np.ndim(psi) == 0 else psi
+    noise = (s[..., 0] * y + psi[..., 0]) * dwk[:, 0, None]
+    for mode in range(1, dwk.shape[1]):
+        noise += (s[..., mode] * y + psi[..., mode]) * dwk[:, mode, None]
+    return _step1(stepper, dt, y, a * y + phi, noise)
 
 
 def _source(provider: Optional[Callable], k: int):
@@ -302,17 +307,47 @@ def _finalize_cost(scn, acc: np.ndarray, x_final: np.ndarray) -> CostEstimate:
                         x_final)
 
 
+def simulate_costs(scn: Scenario, controls, ens: PathEnsemble) -> list:
+    """Monte Carlo cost of each control without trajectory storage (running
+    cost by left-endpoint quadrature, plus the terminal term), or the
+    BlowUpError that stopped it.  One depth-first walk over the trie of the
+    controls: a node's controls are grouped by the bytes of their value at
+    step k, so a shared prefix is simulated once and a blow-up in it stops
+    every control below it.  Exact, as a control reads at most (k, x_k)."""
+    stepper = _stepper(scn)
+    out = {}
+    stack = [(0, np.tile(scn.x0.values, (ens.n_paths, 1)),
+              np.zeros(ens.n_paths), range(len(controls)))]
+    while stack:
+        k, x, acc, members = stack.pop()
+        if k == scn.n_t:
+            out.update(dict.fromkeys(members, _finalize_cost(scn, acc, x)))
+            continue
+        groups = {}
+        for i in members:
+            uk = controls[i].evaluate(k, scn, x)
+            key = (np.shape(uk), np.asarray(uk).tobytes())
+            groups.setdefault(key, (uk, []))[1].append(i)
+        accs = [acc] + [acc.copy() for _ in range(len(groups) - 1)]
+        for (uk, group), acc_g in zip(groups.values(), accs):
+            acc_g += scn.dt * scn.grid.h * np.sum(scn.coeffs.l(x, uk), axis=-1)
+            x_g = _step1(stepper, scn.dt, x, scn.coeffs.b(x, uk),
+                         _node_noise(scn, scn.coeffs.sigma(x, uk),
+                                     ens.dW[:, k]))
+            try:
+                _check_finite(x_g, k + 1)
+                stack.append((k + 1, x_g, acc_g, group))
+            except BlowUpError as exc:
+                out.update(dict.fromkeys(group, exc))
+    return [out[i] for i in range(len(controls))]
+
+
 def simulate_cost(scn: Scenario, u: ControlProcess, ens: PathEnsemble) -> CostEstimate:
-    """Monte Carlo cost without trajectory storage: left-endpoint time
-    quadrature of the running cost, streamed along the state simulation,
-    plus the terminal term, with the standard error of the mean."""
-    acc = np.zeros(ens.n_paths)
-
-    def hook(k, x, uk):
-        acc[:] += scn.dt * scn.grid.h * np.sum(scn.coeffs.l(x, uk), axis=-1)
-
-    traj = simulate_state(scn, u, ens, store=False, step_hook=hook)
-    return _finalize_cost(scn, acc, traj.final)
+    """The one-control case of simulate_costs; raises its BlowUpError."""
+    est, = simulate_costs(scn, [u], ens)
+    if isinstance(est, BlowUpError):
+        raise est
+    return est
 
 
 # -- joint spike-expansion statistics ---------------------------------------

@@ -256,10 +256,6 @@ class ControlSet:
         else:
             raise ScenarioValidationError(f"unknown control set kind {self.kind!r}")
 
-    @property
-    def dim(self) -> int:
-        return len(self.points[0]) if self.kind == "finite" else len(self.low)
-
     def lattice(self) -> list:
         """Sampling lattice: all points when finite, a regular grid on boxes."""
         if self.kind == "finite":
@@ -304,7 +300,8 @@ def sine_mode_shapes(grid: Grid1D, K: int) -> np.ndarray:
 
 
 class ControlProcess:
-    """Adapted control process; subclasses read at most the current state."""
+    """Adapted control process: evaluate reads at most (k, x_k), so controls
+    with equal values up to step k share the state (see simulate_costs)."""
 
     def evaluate(self, k: int, scenario: "Scenario", x=None) -> np.ndarray:
         raise NotImplementedError

@@ -16,7 +16,7 @@ import numpy as np
 
 from .adjoint import _curvature, solve_adjoint1, solve_adjoint2_mollified
 from .ensemble import PathEnsemble
-from .forward import (BlowUpError, simulate_cost, simulate_linear,
+from .forward import (BlowUpError, simulate_costs, simulate_linear,
                       simulate_state, simulate_tensor, spike_expansion_stats,
                       spike_sources, spike_tensor_sources)
 from .grids import Field
@@ -402,7 +402,8 @@ def block_control_candidates(scn: Scenario, n_blocks: int):
 
 def brute_force_search(scn: Scenario, candidates, ens: PathEnsemble,
                        labels=None) -> BruteForceReport:
-    """Evaluate every candidate control on the shared ensemble.
+    """Evaluate every candidate control on the shared ensemble, in one walk
+    over the trie of their controls (simulate_costs).
 
     Per-path costs are kept so comparisons between candidates are paired
     (differences of common-noise costs); candidates whose simulation blows
@@ -413,26 +414,21 @@ def brute_force_search(scn: Scenario, candidates, ens: PathEnsemble,
     n_c = len(candidates)
     mat = np.full((n_c, m), np.nan)
     excluded = []
-    for i, u in enumerate(candidates):
-        try:
-            mat[i] = simulate_cost(scn, u, ens).per_path
-        except BlowUpError as exc:
+    for i, est in enumerate(simulate_costs(scn, candidates, ens)):
+        if isinstance(est, BlowUpError):
             excluded.append(i)
-            warnings.warn(f"candidate {i} excluded: {exc}")
+            warnings.warn(f"candidate {i} excluded: {est}")
+        else:
+            mat[i] = est.per_path
     costs = mat.mean(axis=1)
     ses = mat.std(axis=1, ddof=1) / np.sqrt(m)
     valid = [i for i in range(n_c) if i not in excluded]
     if not valid:
         raise RuntimeError("all brute-force candidates blew up")
     best = min(valid, key=lambda i: costs[i])
-    ties = []
-    for i in valid:
-        if i == best:
-            continue
-        d = mat[i] - mat[best]
-        dse = d.std(ddof=1) / np.sqrt(m)
-        if d.mean() <= 2.0 * dse:
-            ties.append(i)
+    diffs = ((i, mat[i] - mat[best]) for i in valid if i != best)
+    ties = [i for i, d in diffs
+            if d.mean() <= 2.0 * (d.std(ddof=1) / np.sqrt(m))]
     return BruteForceReport(
         list(labels) if labels is not None else list(range(n_c)),
         costs, ses, best, ties, excluded, mat)

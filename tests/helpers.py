@@ -2,7 +2,7 @@
 suite."""
 import numpy as np
 
-from spde_control.forward import _finalize_cost
+from spde_control.forward import _finalize_cost, simulate_state
 from spde_control.grids import Field, Grid1D, Grid2D, TensorField
 from spde_control.operators import EllipticOperator
 from spde_control.scenario import (PRESETS, ControlSet, DeterministicControl,
@@ -54,6 +54,18 @@ def cost(scn, traj, u):
     for k in range(scn.n_t):
         uk = u.evaluate(k, scn, traj[k])
         acc += scn.dt * scn.grid.h * np.sum(scn.coeffs.l(traj[k], uk), axis=-1)
+    return _finalize_cost(scn, acc, traj.final)
+
+
+def sweep_cost(scn, u, ens):
+    """Reference streamed cost of one control: its own state sweep from
+    t = 0, the running cost accumulated by a step hook."""
+    acc = np.zeros(ens.n_paths)
+
+    def hook(k, x, uk):
+        acc[:] += scn.dt * scn.grid.h * np.sum(scn.coeffs.l(x, uk), axis=-1)
+
+    traj = simulate_state(scn, u, ens, store=False, step_hook=hook)
     return _finalize_cost(scn, acc, traj.final)
 
 

@@ -199,6 +199,35 @@ def test_missing_scenario_file_is_config_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--paths=1"),
+    ("simulate", "--paths=0"),
+    ("simulate", "--seed=-1"),
+    ("simulate", f"--seed={2 ** 64}"),
+    ("duality", "--probes=0"),
+    ("adjoint", "--order=2", "--eta=0"),
+    ("adjoint", "--eta=foo"),
+    ("smp", "--eta=-1h2"),
+    ("oracle", "--eta=nan"),
+])
+def test_bad_flag_value_exits_two_before_any_output(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--scenario", fixture("bilinear.cfg"),
+                         "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: {argv[-1].split('=')[0]} ")
+    assert err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_largest_philox_seed_is_accepted(tmp_path, capsys):
+    code, out, _ = run(capsys, "simulate", "--scenario",
+                       fixture("bilinear.cfg"), "--paths", "2",
+                       "--seed", str(2 ** 64 - 1), "--out", str(tmp_path))
+    assert code == 0
+    assert "VERDICT experiment=simulate status=pass" in out
+
+
 def test_rates_requires_a_spike(tmp_path, capsys):
     code, _, err = run(capsys, "rates", "--scenario", fixture("bilinear.cfg"),
                        "--out", str(tmp_path))

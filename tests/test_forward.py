@@ -2,16 +2,18 @@
 import numpy as np
 import pytest
 
-from helpers import cost, make_scenario
+from helpers import cost, make_scenario, sweep_cost
 from spde_control.ensemble import PathEnsemble
 from spde_control.forward import (BlowUpError, _second_variation,
-                                  simulate_cost, simulate_linear,
-                                  simulate_state, simulate_tensor,
-                                  spike_expansion_stats, spike_sources,
-                                  tensor_drift, tensor_noise)
+                                  simulate_cost, simulate_costs,
+                                  simulate_linear, simulate_state,
+                                  simulate_tensor, spike_expansion_stats,
+                                  spike_sources, tensor_drift, tensor_noise)
 from spde_control.operators import ImplicitStepper, SpectralBasis
-from spde_control.scenario import DeterministicControl, SpikeControl
-from spde_control.verify import make_tensor_probes, zero_noise_oracle
+from spde_control.scenario import (ControlProcess, DeterministicControl,
+                                   SpikeControl)
+from spde_control.verify import (block_control_candidates, make_tensor_probes,
+                                 zero_noise_oracle)
 
 
 def _det_scn(**kw):
@@ -218,6 +220,77 @@ def test_streaming_cost_matches_stored_cost():
     a = cost(scn, traj, scn.base_control)
     b = simulate_cost(scn, scn.base_control, ens)
     assert np.array_equal(a.per_path, b.per_path)
+
+
+@pytest.mark.parametrize("preset", ["additive", "bilinear",
+                                    "logistic-drift"])
+def test_cost_equals_the_reference_sweep(preset):
+    scn = make_scenario(preset, n=8, n_t=32)
+    ens = PathEnsemble.for_scenario(scn, n_paths=25)
+    est = simulate_cost(scn, scn.base_control, ens)
+    ref = sweep_cost(scn, scn.base_control, ens)
+    assert np.array_equal(est.per_path, ref.per_path)
+    assert np.array_equal(est.final, ref.final)
+    assert (est.mean, est.se) == (ref.mean, ref.se)
+
+
+def test_cost_raises_the_blow_up():
+    scn = make_scenario("bilinear", n=8, n_t=16, base=(1e300,))
+    ens = PathEnsemble.for_scenario(scn, n_paths=5)
+    with np.errstate(all="ignore"):
+        with pytest.raises(BlowUpError) as exc:
+            simulate_cost(scn, scn.base_control, ens)
+        with pytest.raises(BlowUpError) as ref:
+            simulate_state(scn, scn.base_control, ens, store=False)
+    assert exc.value.step == ref.value.step == 2
+
+
+class _Threshold(ControlProcess):
+    """State feedback: 0.5 on the paths whose spatial mean exceeds thr,
+    -0.5 on the others."""
+
+    def __init__(self, thr):
+        self.thr = thr
+
+    def evaluate(self, k, scenario, x=None):
+        return np.where(x.mean(axis=1, keepdims=True) > self.thr, 0.5, -0.5)
+
+
+def _assert_walk_equals_sweeps(scn, controls):
+    ens = PathEnsemble.for_scenario(scn, n_paths=40)
+    ests = simulate_costs(scn, controls, ens)
+    assert len(ests) == len(controls)
+    for u, est in zip(controls, ests):
+        ref = sweep_cost(scn, u, ens)
+        assert np.array_equal(est.per_path, ref.per_path)
+        assert np.array_equal(est.final, ref.final)
+
+
+@pytest.mark.parametrize("preset", ["additive", "bilinear"])
+def test_cost_walk_equals_one_sweep_per_block_control(preset):
+    scn = make_scenario(preset, n=8, n_t=16, K=2)
+    _, controls = block_control_candidates(scn, n_blocks=4)
+    _assert_walk_equals_sweeps(scn, controls)
+
+
+def test_cost_walk_serves_duplicate_controls():
+    scn = make_scenario("bilinear", n=8, n_t=16)
+    _, controls = block_control_candidates(scn, n_blocks=2)
+    _assert_walk_equals_sweeps(scn, controls + controls[::-1] + controls[1:2])
+
+
+def test_cost_walk_shares_spike_prefixes():
+    # spikes on one base agree with it, and with each other, up to tau
+    scn = make_scenario("logistic-drift", n=8, n_t=32)
+    spikes = [SpikeControl(scn.base_control, [v], tau=tau, eps=2 * scn.dt)
+              for tau in (0.1, 0.2, 0.3) for v in (-0.5, 0.8)]
+    _assert_walk_equals_sweeps(scn, [scn.base_control] + spikes)
+
+
+def test_cost_walk_splits_state_feedback_by_value():
+    scn = make_scenario("bilinear", n=8, n_t=16)
+    _assert_walk_equals_sweeps(scn, [_Threshold(t) for t in
+                                     (-1.0, 0.3, 0.5, 0.7, 5.0)])
 
 
 def test_spike_expansion_stats_sign_structure():

@@ -1,11 +1,13 @@
 """Verification experiments at smoke scale: dualities, rates, gap scans,
 brute force, and the slope-fitting helper."""
+import warnings
+
 import numpy as np
 import pytest
 
-from helpers import make_scenario
+from helpers import make_scenario, sweep_cost
 from spde_control.ensemble import PathEnsemble
-from spde_control.forward import simulate_state
+from spde_control.forward import BlowUpError, simulate_state
 from spde_control.adjoint import solve_adjoint1, solve_adjoint2_mollified
 from spde_control.verify import (_fit_slope, block_control_candidates,
                                  brute_force_search, check_duality1,
@@ -141,3 +143,40 @@ def test_brute_force_picks_the_cheapest_candidate():
     order = np.argsort(rep.costs)
     assert rep.candidates[order[0]] == (0, 0)
     assert rep.candidates[order[-1]] == (1, 1)
+
+
+def test_blow_up_in_a_shared_prefix_excludes_every_candidate_below_it():
+    # the huge value blows the state up in the first step it applies, so
+    # the candidates opening with it all fail inside one shared block
+    scn = make_scenario("bilinear", n=8, n_t=12,
+                        control_points=((0.5,), (1e300,)))
+    combos, controls = block_control_candidates(scn, n_blocks=3)
+    ens = PathEnsemble.for_scenario(scn, n_paths=30)
+    rows, excluded, texts = [], [], []
+    with np.errstate(all="ignore"):
+        for i, u in enumerate(controls):
+            try:
+                rows.append(sweep_cost(scn, u, ens).per_path)
+            except BlowUpError as exc:
+                rows.append(np.full(ens.n_paths, np.nan))
+                excluded.append(i)
+                texts.append(f"candidate {i} excluded: {exc}")
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            rep = brute_force_search(scn, controls, ens, labels=combos)
+    assert rep.excluded == excluded == [i for i, c in enumerate(combos)
+                                        if 1 in c]
+    assert [str(w.message) for w in rec] == texts
+    assert np.array_equal(rep.cost_matrix, np.array(rows), equal_nan=True)
+    assert rep.best == 0
+
+
+def test_brute_force_refuses_when_every_candidate_blows_up():
+    scn = make_scenario("bilinear", n=8, n_t=16,
+                        control_points=((1e300,), (-1e300,)))
+    _, controls = block_control_candidates(scn, n_blocks=2)
+    ens = PathEnsemble.for_scenario(scn, n_paths=10)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(RuntimeError, match="all brute-force candidates"):
+            brute_force_search(scn, controls, ens)
