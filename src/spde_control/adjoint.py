@@ -4,8 +4,9 @@ Both adjoint pairs are solved by a backward sweep of the semi-implicit
 scheme, with the conditional expectations at each step replaced by a
 least-squares regression on spectral features of the current state
 (Longstaff-Schwartz), fitted once per step.  The martingale component q is
-recovered by regressing p_{k+1} dW_k / dt on the same fit.  The resolvent
-acts on the few regression coefficients, which are lifted to the paths once.
+recovered by regressing p_{k+1} dW_k / dt on the same fit (on the square,
+one GEMM fits P and every P dW_k).  The resolvent acts on the few regression
+coefficients, which are lifted to the paths once.
 
 The second-order pair lives on the square; its terminal condition is the
 heat-kernel mollification of the diagonal curvature distribution.  A single
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.linalg import qr
 
 from .ensemble import PathEnsemble
-from .forward import Trajectory, _stepper, tensor_drift
+from .forward import Trajectory, _stepper, tensor_multiplier
 from .operators import (EllipticOperator, SpectralBasis,
                         mollified_terminal_batch, sobolev_norms_batch)
 from .scenario import ControlProcess, Scenario
@@ -197,7 +198,7 @@ class BackwardPair2:
     """Second-order adjoint on the square at mollifier width eta.
 
     P0 is the value at t = 0; stored_steps maps requested step indices to
-    the (M, n, n) slices captured during the sweep.
+    the (M, n, n) slices captured during the sweep (n_t: the terminal).
     """
 
     eta: float
@@ -213,39 +214,43 @@ def _sweep2(scn, xbar, ubar, ens, pair1, Ps, method, store_steps, step_hook):
     memory stays at a few (M, n, n) blocks per width and the squared Cauchy
     increments between consecutive widths stream step by step.  Ps is
     overwritten step by step and ends holding the per-width P_0.
-    store_steps, step_hook and max_asymmetry apply to the last width.
-    Returns the per-width a-priori statistics, the squared increments, the
-    stored steps and the diagnostics.
+    store_steps (n_t names the terminal), step_hook and max_asymmetry apply
+    to the last width.  Returns the per-width a-priori statistics, the
+    squared increments, the stored steps and the diagnostics.
     """
     fit, diag = _step_fit(scn, ens.n_paths, method)
     stepper = _stepper(scn)
     basis2 = SpectralBasis.build(scn.grid.square(), scn.op)
-    h, dt = scn.grid.h, scn.dt
-    idx = np.arange(scn.grid.n)
+    m, n, K, h, dt = ens.n_paths, scn.grid.n, scn.n_modes, scn.grid.h, scn.dt
+    idx = np.arange(n)
     last = len(Ps) - 1
     sup_hm1 = [float(np.mean(sobolev_norms_batch(P, basis2, -1.0) ** 2))
                for P in Ps]
     int_l2 = [0.0] * len(Ps)
     cauchy_sq = [0.0] * last
-    stored = {}
+    stored = {scn.n_t: Ps[last].copy()} if scn.n_t in store_steps else {}
     max_asym = 0.0
     for k in range(scn.n_t - 1, -1, -1):
         x = xbar[k]
         uk = ubar.evaluate(k, scn, x)
         Qr = fit(x)
+        if Qr is None:  # "mean": the one basis column is constant
+            Qr = np.full((m, 1), m ** -0.5)
+        # [Qr | Qr dW_1 | ... | Qr dW_K]: one GEMM per width fits every target
+        design = (np.column_stack([np.ones(m), ens.dW[:, k]])[:, :, None]
+                  * Qr[:, None, :]).reshape(m, -1)
         sx = scn.sigma_x_eff(x, uk)
-        c = tensor_drift(scn.coeffs.b_x(x, uk), sx)
+        G1 = tensor_multiplier(scn.coeffs.b_x(x, uk), sx, dt)
         # the source is the diagonal embedding of the curvature
         diag_source = _curvature(scn, x, uk, pair1.p[k], pair1.q[k]) / h
-        dwk = ens.dW[:, k][:, :, None, None]
         for i, P in enumerate(Ps):
             # resolvent first (exact discrete adjoint), explicit terms second
-            Mk = _smoothed(Qr, P, stepper.solve2)
-            Qk = _smoothed(Qr, P[:, None] * dwk, lambda T: stepper.solve2(T / dt))
-            rate = c * Mk
-            rate += _qcouple(sx, Qk)
+            coef = (design.T @ P.reshape(m, -1)).reshape(K + 1, -1, n, n)
+            Mk = np.tensordot(Qr, stepper.solve2(coef[0]), axes=1)
+            Qk = np.tensordot(Qr, stepper.solve2(coef[1:].swapaxes(0, 1) / dt), axes=1)
+            rate = _qcouple(sx, Qk)
             rate[:, idx, idx] += diag_source
-            P = Ps[i] = Mk + dt * rate
+            P = Ps[i] = G1 * Mk + dt * rate
             hm1, l2 = sobolev_norms_batch(P, basis2, (-1.0, 0.0))
             sup_hm1[i] = max(sup_hm1[i], float(np.mean(hm1 ** 2)))
             int_l2[i] += dt * float(np.mean(l2 ** 2))

@@ -47,24 +47,26 @@ def _parse_eta(text: str, h: float) -> float:
 
 
 def _parse_ladder(text: str):
-    """Comma list of fractions; tokens may use '2^-3' power notation."""
+    """Comma list of fractions in [0, 1]; tokens may use '2^-3' notation."""
     out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if "^" in tok:
-            base, expo = tok.split("^")
-            out.append(float(base) ** float(expo))
-        elif tok:
-            out.append(float(tok))
+    for tok in filter(None, (t.strip() for t in text.split(","))):
+        base, sep, expo = tok.partition("^")
+        try:
+            out.append(float(base) ** (float(expo) if sep else 1.0))
+            if not 0.0 <= out[-1] <= 1.0:  # nan fails; complex (-8^0.5) raises
+                raise ValueError
+        except (ValueError, TypeError, ArithmeticError):
+            raise ConfigError(f"--eps-ladder token {tok!r} is not a "
+                              f"fraction in [0, 1]") from None
     if not out:
         raise ConfigError("empty epsilon ladder")
     return out
 
 
-def _verdict(experiment: str, ok: bool, statistic: float, tolerance) -> bool:
+def _verdict(experiment: str, ok: bool, statistic: float, tolerance, note="") -> bool:
     tol = "none" if tolerance is None else f"{tolerance:.6g}"
     print(f"VERDICT experiment={experiment} status={'pass' if ok else 'fail'} "
-          f"statistic={statistic:.6g} tolerance={tol}")
+          f"statistic={statistic:.6g} tolerance={tol}{' note=' + note if note else ''}")
     return ok
 
 
@@ -207,11 +209,17 @@ def cmd_rates(args) -> int:
     scn, overrides = _load(args)
     overrides["kind"] = args.kind
     overrides["eps_ladder"] = args.eps_ladder
+    fractions = _parse_ladder(args.eps_ladder)
+    if len({f for f in fractions if f > 0.0}) < 3:  # a slope fit needs 3
+        raise ConfigError(f"--eps-ladder needs at least 3 distinct positive "
+                          f"fractions, got {args.eps_ladder!r}")
     if scn.spike_control is None or not isinstance(scn.spike_control, SpikeControl):
         raise ConfigError("rates needs a spike control in the scenario config")
-    run = _Run(args, scn, overrides)
-    fractions = _parse_ladder(args.eps_ladder)
     spike = scn.spike_control
+    if spike.tau + max(fractions) * scn.T > scn.T:
+        raise ConfigError(f"--eps-ladder fraction {max(fractions):g} puts the "
+                          f"spike past the horizon T = {scn.T:g}")
+    run = _Run(args, scn, overrides)
     kinds = list(_RATE_STATS) if args.kind == "all" else [args.kind]
     try:
         rep = verify.rate_experiment(scn, scn.base_control, spike.v, spike.tau,
@@ -234,17 +242,15 @@ def cmd_rates(args) -> int:
     for kind in kinds:
         stat = _RATE_STATS[kind]
         thr = verify.RATE_THRESHOLDS[stat]
-        ok = rep.passed(stat)
-        if ok is None:
-            print(f"VERDICT experiment=rates-{kind} status=pass "
-                  f"statistic=nan tolerance={thr:.6g} "
-                  f"note=slope-undefined-statistic-identically-0")
-            srows.append((kind, "nan", "nan", "nan", thr, "undefined"))
-            continue
-        slope, lo, hi = rep.slopes[stat]
-        all_ok &= ok
-        _verdict(f"rates-{kind}", ok, slope, thr)
-        srows.append((kind, slope, lo, hi, thr, "pass" if ok else "fail"))
+        ok, note = rep.passed(stat), ""
+        if ok is None:  # an undefined slope passes only if the statistic vanishes
+            ok = not rep.stats[stat].any()
+            note = "slope-undefined-" + ("statistic-identically-0" if ok
+                                         else "too-few-positive-values")
+        slope, lo, hi = rep.slopes[stat] or ("nan",) * 3
+        all_ok &= _verdict(f"rates-{kind}", ok, float(slope), thr, note)
+        srows.append((kind, slope, lo, hi, thr,
+                      "undefined" if note and ok else ("pass" if ok else "fail")))
     run.write("slopes.csv", _csv(
         ("kind", "slope", "ci_lo", "ci_hi", "threshold", "status"), srows,
         "log-log slope fits, 95% CI"))

@@ -5,7 +5,8 @@ and the product process on the square.
 Time stepping is semi-implicit Euler-Maruyama, implicit only in the linear
 elliptic part: (I - dt A) x_{k+1} = x_k + dt drift(x_k) + diffusion(x_k) dW_k.
 Both sourced linear kernels (simulate_linear, simulate_tensor) linearize
-along the reference once per step and take source providers k -> arrays.
+along the reference once per step, take source providers k -> arrays and
+march probes stacked on a leading axis in one step-major sweep.
 simulate_costs walks many controls as a trie, simulating a shared prefix once.
 All simulations of one experiment share a PathEnsemble (common random
 numbers) and are vectorized over paths; reductions run in fixed order so
@@ -146,51 +147,59 @@ def simulate_linear(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
     return Trajectory(values, y)
 
 
-def tensor_drift(bx: np.ndarray, sx: np.ndarray) -> np.ndarray:
-    """(M, n, n) drift multiplier of the product-space equations:
-    b_x(i) + b_x(j) + <sigma_x(i), sigma_x(j)> over the noise modes."""
-    return bx[:, :, None] + bx[:, None, :] + sx @ np.swapaxes(sx, 1, 2)
+def tensor_multiplier(bx: np.ndarray, sx: np.ndarray, dt: float, dw=None):
+    """(M, n, n) multiplier 1 + dt c + s (+) s of a product-space step: c =
+    b_x(i) + b_x(j) + <sigma_x(i), sigma_x(j)>, s = sum_k sigma_x,k dW_k."""
+    e = 0.5 + dt * bx + (0.0 if dw is None else np.einsum("pnk,pk->pn", sx, dw))
+    G = (dt * sx) @ np.swapaxes(sx, 1, 2)
+    G += e[:, :, None]
+    G += e[:, None, :]
+    return G
 
 
-def tensor_noise(sx: np.ndarray, dwk: np.ndarray, Y: np.ndarray,
-                 psik: Optional[np.ndarray] = None) -> np.ndarray:
-    """(M, n, n) noise increment of the product-space equation,
-    sum_k ((sx_k (+) sx_k) Y + psi_k) dW_k.  The multiplicative part
-    collapses to (s (+) s) Y with s = sum_k sx_k dW_k, one pass over Y."""
-    s = np.einsum("pnk,pk->pn", sx, dwk)
-    noise = (s[:, :, None] + s[:, None, :]) * Y
-    if psik is not None:
-        for mode in range(dwk.shape[1]):
-            noise += psik[..., mode] * dwk[:, mode, None, None]
-    return noise
+def _tensor_noise(psi: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """sum_k psi_k dW_k on the square; one GEMM for a deterministic psi."""
+    if psi.ndim == 4 and len(psi) > 1:  # per path
+        return np.einsum("pijk,pk->pij", psi, dw)
+    return (dw @ psi.reshape(-1, dw.shape[1]).T).reshape(-1, *psi.shape[-3:-1])
 
 
 def simulate_tensor(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
                     ens: PathEnsemble, phi: Callable = None, psi: Callable = None,
                     step_hook: Callable = None) -> Trajectory:
     """Simulate the product-space linearization along (xbar, ubar) on the
-    square, keeping only the final value (step_hook sees every step).
+    square, keeping only the final value (step_hook sees every step; a
+    probe axis's (J, M, n, n) state is updated in place, so copy to keep it).
 
-    The elliptic part is the Kronecker-sum operator; the drift multiplier
-    couples both coordinates of the reference state and the diffusion
-    multiplier acts per retained noise mode.  phi/psi are per-step source
-    providers k -> arrays broadcasting to (M, n, n) and (M, n, n, K);
-    None, or a None return, means zero.
+    The linearization is folded once per step into G = 1 + dt c + s (+) s
+    (c the drift multiplier, s = sum_k sigma_x,k dW_k): Y <- solve2(G Y +
+    dt Phi + sum_k Psi_k dW_k).  phi/psi are per-step source providers
+    k -> arrays broadcasting to (M, n, n) and (M, n, n, K); None, or a None
+    return, means zero.  Sources with a leading probe axis, (J, 1, n, n)
+    and (J, 1, n, n, K), march J states step-major in one (J, M, n, n) Y.
     """
     stepper = _stepper(scn)
     Y = np.zeros((ens.n_paths, scn.grid.n, scn.grid.n))
     for k in range(scn.n_t):
+        phik, psik = _source(phi, k), _source(psi, k)
+        if Y.ndim == 3 and (np.ndim(phik) == 4 or np.ndim(psik) == 5):  # probes
+            Y = np.repeat(Y[None], len(phik if np.ndim(phik) == 4 else psik), 0)
         if step_hook is not None:
             step_hook(k, Y)
-        x = xbar[k]
+        x, dw = xbar[k], ens.dW[:, k]
         ub = ubar.evaluate(k, scn, x)
         sx = scn.sigma_x_eff(x, ub)
-        drift = tensor_drift(scn.coeffs.b_x(x, ub), sx) * Y
-        phik = _source(phi, k)
-        if phik is not None:
-            drift = drift + phik
-        noise = tensor_noise(sx, ens.dW[:, k], Y, _source(psi, k))
-        Y = stepper.solve2(Y + scn.dt * drift + noise)
+        G = tensor_multiplier(scn.coeffs.b_x(x, ub), sx, scn.dt, dw)
+        for j, Yj in enumerate(Y if Y.ndim == 4 else Y[None]):
+            rhs = G * Yj
+            if phik is not None:
+                rhs += scn.dt * (phik[j] if np.ndim(phik) == 4 else phik)
+            if psik is not None:
+                rhs += _tensor_noise(psik[j] if np.ndim(psik) == 5 else psik, dw)
+            if Y.ndim == 4:
+                Y[j] = stepper.solve2(rhs)
+            else:
+                Y = stepper.solve2(rhs)
         _check_finite(Y, k + 1)
     return Trajectory(None, Y)
 

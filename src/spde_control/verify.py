@@ -20,7 +20,7 @@ from .forward import (BlowUpError, simulate_costs, simulate_linear,
                       simulate_state, simulate_tensor, spike_expansion_stats,
                       spike_sources, spike_tensor_sources)
 from .grids import Field
-from .operators import heat_mollifier, mollified_terminal_batch
+from .operators import heat_mollifier
 from .scenario import (ControlProcess, DeterministicControl, Scenario,
                        SpikeControl)
 
@@ -150,44 +150,36 @@ def check_duality2(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
     running pairing with the curvature source, must match the running
     pairing of the probe sources with (P, Q).
     """
-    m, n, h, dt = ens.n_paths, scn.grid.n, scn.grid.h, scn.dt
+    m, h, dt = ens.n_paths, scn.grid.h, scn.dt
     xbar = simulate_state(scn, ubar, ens, store=True)
     pair1 = solve_adjoint1(scn, xbar, ubar, ens, store=True)
-    rhs_acc = np.zeros((len(probes), m))
-    # probe sources flattened per step, Psi mode-major to match Q's storage
-    phi_flat = [Phi.reshape(len(Phi), -1) for Phi, _ in probes]
-    psi_flat = [np.moveaxis(Psi, 3, 1).reshape(len(Psi), -1)
-                for _, Psi in probes]
+    # probes on a leading axis (J, 1, ...): one sweep marches every response
+    phis = np.stack([Phi for Phi, _ in probes], axis=1)[:, :, None]
+    psis = np.stack([Psi for _, Psi in probes], axis=1)[:, :, None]
+    rhs_acc, lhs_acc = np.zeros((2, len(probes), m))
 
     def backward_hook(k, P, Q):
-        P_flat = P.reshape(m, -1)
-        Q_flat = np.moveaxis(Q, 3, 1).reshape(m, -1)
-        for j in range(len(probes)):
-            rhs_acc[j] += dt * h ** 2 * (P_flat @ phi_flat[j][k]
-                                         + Q_flat @ psi_flat[j][k])
+        # Psi mode-major to match Q's storage
+        rhs_acc[:] += dt * h ** 2 * (
+            phis[k].reshape(len(probes), -1) @ P.reshape(m, -1).T
+            + np.moveaxis(psis[k], -1, 1).reshape(len(probes), -1)
+            @ np.moveaxis(Q, 3, 1).reshape(m, -1).T)
 
-    solve_adjoint2_mollified(scn, xbar, ubar, ens, pair1, eta,
-                             step_hook=backward_hook)
+    # the sweep hands back the terminal it starts from as step n_t
+    PT = solve_adjoint2_mollified(scn, xbar, ubar, ens, pair1, eta,
+                                  store_steps=(scn.n_t,),
+                                  step_hook=backward_hook).stored_steps[scn.n_t]
 
-    PT = mollified_terminal_batch(xbar.final, scn.coeffs.h_xx, scn.grid, eta)
-    # the curvature source does not depend on the probe: once per step
-    curv = [_curvature(scn, xbar[k], ubar.evaluate(k, scn, xbar[k]),
-                       pair1.p[k], pair1.q[k]) for k in range(scn.n_t)]
-    idx = np.arange(n)
-    rows = []
-    for j, (Phi, Psi) in enumerate(probes):
-        lhs_acc = np.zeros(m)
+    def forward_hook(k, Y):
+        # <delta_star(curv), Y> collapses to the diagonal of Y
+        x = xbar[k]
+        curv = _curvature(scn, x, ubar.evaluate(k, scn, x), pair1.p[k], pair1.q[k])
+        lhs_acc[:] += dt * h * np.sum(curv * np.diagonal(Y, 0, -2, -1), axis=-1)
 
-        def forward_hook(k, Y):
-            # <delta_star(curv), Y> collapses to the diagonal of Y
-            lhs_acc[:] += dt * h * np.sum(curv[k] * Y[:, idx, idx], axis=-1)
-
-        traj = simulate_tensor(scn, xbar, ubar, ens,
-                               phi=lambda k, Phi=Phi: Phi[k],
-                               psi=lambda k, Psi=Psi: Psi[k],
-                               step_hook=forward_hook)
-        lhs_acc += h ** 2 * np.einsum("pij,pij->p", PT, traj.final)
-        rows.append(_duality_row(j, lhs_acc, rhs_acc[j]))
+    traj = simulate_tensor(scn, xbar, ubar, ens, phi=lambda k: phis[k],
+                           psi=lambda k: psis[k], step_hook=forward_hook)
+    lhs_acc += h ** 2 * np.einsum("pab,jpab->jp", PT, traj.final)
+    rows = [_duality_row(j, lhs_acc[j], rhs_acc[j]) for j in range(len(probes))]
     return DualityReport(rows, max(r["gap"] for r in rows))
 
 

@@ -99,3 +99,98 @@ def tensor_from_csv(text):
         row = ln.split(",")
         values[int(row[0]), int(row[1])] = float(row[-1])
     return TensorField(Grid2D(grid), values)
+
+
+# -- reference second-order kernels: the per-target, per-probe arithmetic ----
+
+def reference_sweep2(scn, xbar, ubar, ens, pair1, Ps, method, store_steps,
+                     step_hook):
+    """adjoint._sweep2 with one regression per target: the martingale
+    target is the (M, K, n, n) product P dW, each target is projected by
+    its own tensordot pair, and P = Mk + dt (c Mk + qcouple + source)."""
+    from spde_control.adjoint import (_curvature, _qcouple, _smoothed,
+                                      _step_fit)
+    from spde_control.forward import _stepper
+    from spde_control.operators import SpectralBasis, sobolev_norms_batch
+
+    fit, diag = _step_fit(scn, ens.n_paths, method)
+    stepper = _stepper(scn)
+    basis2 = SpectralBasis.build(scn.grid.square(), scn.op)
+    h, dt = scn.grid.h, scn.dt
+    idx = np.arange(scn.grid.n)
+    last = len(Ps) - 1
+    sup_hm1 = [float(np.mean(sobolev_norms_batch(P, basis2, -1.0) ** 2))
+               for P in Ps]
+    int_l2 = [0.0] * len(Ps)
+    cauchy_sq = [0.0] * last
+    stored = {}
+    max_asym = 0.0
+    for k in range(scn.n_t - 1, -1, -1):
+        x = xbar[k]
+        uk = ubar.evaluate(k, scn, x)
+        Qr = fit(x)
+        sx = scn.sigma_x_eff(x, uk)
+        c = reference_tensor_drift(scn.coeffs.b_x(x, uk), sx)
+        diag_source = _curvature(scn, x, uk, pair1.p[k], pair1.q[k]) / h
+        dwk = ens.dW[:, k][:, :, None, None]
+        for i, P in enumerate(Ps):
+            Mk = _smoothed(Qr, P, stepper.solve2)
+            Qk = _smoothed(Qr, P[:, None] * dwk,
+                           lambda T: stepper.solve2(T / dt))
+            rate = c * Mk
+            rate += _qcouple(sx, Qk)
+            rate[:, idx, idx] += diag_source
+            P = Ps[i] = Mk + dt * rate
+            hm1, l2 = sobolev_norms_batch(P, basis2, (-1.0, 0.0))
+            sup_hm1[i] = max(sup_hm1[i], float(np.mean(hm1 ** 2)))
+            int_l2[i] += dt * float(np.mean(l2 ** 2))
+        max_asym = max(max_asym,
+                       float(np.max(np.abs(P - np.swapaxes(P, 1, 2)))))
+        if k in store_steps:
+            stored[k] = P.copy()
+        if step_hook is not None:
+            step_hook(k, Mk, np.moveaxis(Qk, 1, 3))
+        for i in range(last):
+            sq = h ** 2 * np.sum((Ps[i] - Ps[i + 1]) ** 2, axis=(-2, -1))
+            cauchy_sq[i] += dt * float(np.mean(sq))
+    stats = [s + l2 for s, l2 in zip(sup_hm1, int_l2)]
+    diag["max_asymmetry"] = max_asym
+    return stats, cauchy_sq, stored, diag
+
+
+def reference_tensor_drift(bx, sx):
+    """(M, n, n) drift multiplier b_x(i) + b_x(j) + <sigma_x(i), sigma_x(j)>
+    of the product-space equations."""
+    return bx[:, :, None] + bx[:, None, :] + sx @ np.swapaxes(sx, 1, 2)
+
+
+def reference_tensor_noise(sx, dwk, Y, psik=None):
+    """sum_k ((sx_k (+) sx_k) Y + psi_k) dW_k with the multiplicative part
+    collapsed to (s (+) s) Y, s = sum_k sx_k dW_k."""
+    s = np.einsum("pnk,pk->pn", sx, dwk)
+    noise = (s[:, :, None] + s[:, None, :]) * Y
+    if psik is not None:
+        for mode in range(dwk.shape[1]):
+            noise += psik[..., mode] * dwk[:, mode, None, None]
+    return noise
+
+
+def reference_simulate_tensor(scn, xbar, ubar, ens, phi=None, psi=None):
+    """One product-space state per call: Y <- solve2(Y + dt (c Y + Phi) +
+    noise), with the linearization re-derived for this state."""
+    from spde_control.forward import _stepper
+
+    stepper = _stepper(scn)
+    Y = np.zeros((ens.n_paths, scn.grid.n, scn.grid.n))
+    for k in range(scn.n_t):
+        x = xbar[k]
+        ub = ubar.evaluate(k, scn, x)
+        sx = scn.sigma_x_eff(x, ub)
+        drift = reference_tensor_drift(scn.coeffs.b_x(x, ub), sx) * Y
+        phik = None if phi is None else phi(k)
+        if phik is not None:
+            drift = drift + phik
+        noise = reference_tensor_noise(sx, ens.dW[:, k], Y,
+                                       None if psi is None else psi(k))
+        Y = stepper.solve2(Y + scn.dt * drift + noise)
+    return Y

@@ -3,7 +3,7 @@ vanishing-mollifier ladder, and oracle cross-checks."""
 import numpy as np
 import pytest
 
-from helpers import make_scenario
+from helpers import make_scenario, reference_sweep2
 from spde_control import adjoint
 from spde_control.adjoint import (RegressionBasis, RegressionError, _project,
                                   _qcouple, _smoothed, solve_adjoint1,
@@ -206,6 +206,52 @@ def test_ladder_finest_matches_single_width_solve():
     assert rep.finest.diagnostics == single.diagnostics
     assert len(rep.cauchy_increments) == 1
     assert rep.cauchy_increments[0] > 0.0
+
+
+def _rel(out, ref):
+    return float(np.max(np.abs(np.asarray(out) - np.asarray(ref)))
+                 / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("method", ["regress", "mean"])
+@pytest.mark.parametrize("K", [1, 2])
+def test_one_gemm_sweep_matches_per_target_reference(method, K):
+    # one GEMM per width fits the P target and every martingale target; the
+    # reference regresses each target separately and steps Mk + dt (c Mk +
+    # ...): the two agree to rounding on everything the kernel reports
+    scn = make_scenario("bilinear", n=8, n_t=16, K=K, shapes=K > 1)
+    ens, xbar, pair1 = _solved(scn, 300, method=method)
+    h2 = scn.grid.h ** 2
+    runs = []
+    for sweep in (adjoint._sweep2, reference_sweep2):
+        Ps = [mollified_terminal_batch(xbar.final, scn.coeffs.h_xx, scn.grid,
+                                       c * h2) for c in (16, 8, 4)]
+        hooks = []
+        stats, cauchy_sq, stored, _ = sweep(
+            scn, xbar, scn.base_control, ens, pair1, Ps, method, {0, 5},
+            lambda k, Mk, Qk: hooks.append((Mk.copy(), Qk.copy())))
+        runs.append((Ps, stats, np.sqrt(cauchy_sq), stored, hooks))
+    (Ps, stats, incs, stored, hooks), (rPs, rstats, rincs, rstored, rhooks) = runs
+    assert max(_rel(P, rP) for P, rP in zip(Ps, rPs)) <= 1e-12
+    assert _rel(stats, rstats) <= 1e-12
+    assert _rel(incs, rincs) <= 1e-12
+    assert set(stored) == set(rstored) == {0, 5}
+    assert max(_rel(stored[k], rstored[k]) for k in stored) <= 1e-12
+    assert len(hooks) == len(rhooks) == scn.n_t
+    for (Mk, Qk), (rMk, rQk) in zip(hooks, rhooks):
+        assert Qk.shape == rQk.shape == (300, 8, 8, K)
+        assert _rel(Mk, rMk) <= 1e-12 and _rel(Qk, rQk) <= 1e-12
+
+
+def test_terminal_can_be_stored_as_step_n_t():
+    scn = make_scenario("bilinear", n=8, n_t=16)
+    ens, xbar, pair1 = _solved(scn, 200)
+    eta = 4.0 * scn.grid.h ** 2
+    pair2 = solve_adjoint2_mollified(scn, xbar, scn.base_control, ens, pair1,
+                                     eta, store_steps={scn.n_t})
+    PT = mollified_terminal_batch(xbar.final, scn.coeffs.h_xx, scn.grid, eta)
+    assert set(pair2.stored_steps) == {scn.n_t}
+    assert np.array_equal(pair2.stored_steps[scn.n_t], PT)
 
 
 def test_mean_method_solves_one_block(monkeypatch):

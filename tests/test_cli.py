@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from spde_control import verify
@@ -139,6 +140,33 @@ def test_degenerate_rates_reports_undefined_slopes(tmp_path, capsys):
     assert "undefined" in slopes
 
 
+def test_rates_with_too_few_positive_values_fails(tmp_path, capsys,
+                                                  monkeypatch):
+    # an undefined slope passes only when the statistic vanishes; too few
+    # positive values for a fit is a failing verdict
+    eps = np.array([0.1, 0.05, 0.025])
+    names = ("y_moment", "z_moment", "residual", "hgamma")
+    stats = {nm: np.array([1e-3, 0.0, 0.0]) for nm in names}
+    stats["z_moment"] = np.zeros(3)
+    ses = {nm: np.zeros(3) for nm in names}
+    slopes = dict.fromkeys(names)
+    report = verify.RateReport(eps, stats, ses, slopes)
+    monkeypatch.setattr(verify, "rate_experiment",
+                        lambda *args, **kwargs: report)
+    code, out, _ = run(capsys, "rates", "--scenario",
+                       fixture("logistic_spike.cfg"), "--out", str(tmp_path))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == ("VERDICT experiment=rates-y status=fail statistic=nan "
+                        "tolerance=0.9 note=slope-undefined-too-few-positive-values")
+    assert lines[1] == ("VERDICT experiment=rates-z status=pass statistic=nan "
+                        "tolerance=0.9 note=slope-undefined-statistic-identically-0")
+    slopes_csv = (tmp_path / "rates-logistic_spike-s11"
+                  / "slopes.csv").read_text().splitlines()
+    assert slopes_csv[2] == "y,nan,nan,nan,0.90000000000000002,fail"
+    assert slopes_csv[3] == "z,nan,nan,nan,0.90000000000000002,undefined"
+
+
 @pytest.mark.parametrize("argv, target, exc, verdicts", [
     (("duality", "--scenario", fixture("additive.cfg")), "check_duality1",
      BlowUpError(3), ["duality1"]),
@@ -209,6 +237,15 @@ def test_missing_scenario_file_is_config_error(tmp_path, capsys):
     ("adjoint", "--eta=foo"),
     ("smp", "--eta=-1h2"),
     ("oracle", "--eta=nan"),
+    ("rates", "--eps-ladder=2^-3,2^-4"),
+    ("rates", "--eps-ladder=0.1,0.1,0.05"),
+    ("rates", "--eps-ladder=0,-0.5,0.25,0.125"),
+    ("rates", "--eps-ladder=2^-3,2^-4,foo"),
+    ("rates", "--eps-ladder=2^-3,2^-4,0^-1"),
+    ("rates", "--eps-ladder=-0.5,0.5,0.25,0.125"),
+    ("rates", "--eps-ladder=1.5,0.5,0.25"),
+    ("rates", "--eps-ladder=-8^0.5,0.5,0.25,0.125"),
+    ("rates", "--eps-ladder=inf,0.5,0.25"),
 ])
 def test_bad_flag_value_exits_two_before_any_output(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv, "--scenario", fixture("bilinear.cfg"),
@@ -217,6 +254,16 @@ def test_bad_flag_value_exits_two_before_any_output(tmp_path, capsys, argv):
     assert out == ""
     assert err.startswith(f"config error: {argv[-1].split('=')[0]} ")
     assert err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_spike_past_horizon_exits_two_before_any_output(tmp_path, capsys):
+    # tau = 0.025 > 0, so a whole-horizon spike ends past T
+    code, out, err = run(capsys, "rates", "--eps-ladder=1,0.5,0.25",
+                         "--scenario", fixture("logistic_spike.cfg"),
+                         "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: --eps-ladder fraction 1 ")
     assert not any(tmp_path.iterdir())
 
 

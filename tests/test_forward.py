@@ -2,13 +2,14 @@
 import numpy as np
 import pytest
 
-from helpers import cost, make_scenario, sweep_cost
+from helpers import (cost, make_scenario, reference_simulate_tensor,
+                     sweep_cost)
 from spde_control.ensemble import PathEnsemble
 from spde_control.forward import (BlowUpError, _second_variation,
                                   simulate_cost, simulate_costs,
                                   simulate_linear, simulate_state,
                                   simulate_tensor, spike_expansion_stats,
-                                  spike_sources, tensor_drift, tensor_noise)
+                                  spike_sources, tensor_multiplier)
 from spde_control.operators import ImplicitStepper, SpectralBasis
 from spde_control.scenario import (ControlProcess, DeterministicControl,
                                    SpikeControl)
@@ -175,22 +176,73 @@ def test_tensor_simulation_preserves_symmetry():
 
 
 def test_collapsed_tensor_noise_matches_per_mode_loop():
+    # the folded step solve2(G Y + dt Phi + sum_k Psi_k dW_k), with
+    # G = 1 + dt c + s (+) s and s = sum_k sx_k dW_k, against the per-mode
+    # step solve2(Y + dt (c Y + Phi) + sum_k ((sx_k (+) sx_k) Y + Psi_k) dW_k),
+    # for per-path and deterministic Psi
+    scn = make_scenario("bilinear", n=9, n_t=6, K=3)
+    m, n, K = 5, scn.grid.n, scn.n_modes
+    ens = PathEnsemble.for_scenario(scn, n_paths=m)
+    ubar = scn.base_control
+    xbar = simulate_state(scn, ubar, ens)
+    stepper = ImplicitStepper(scn.grid, scn.op, scn.dt)
     gen = np.random.Generator(np.random.Philox(key=41))
-    m, n, K = 5, 9, 3
-    sx, psik = gen.normal(size=(m, n, K)), gen.normal(size=(m, n, n, K))
-    dwk, Y = gen.normal(size=(m, K)), gen.normal(size=(m, n, n))
-    ref = np.zeros((m, n, n))
-    for mode in range(K):
-        dmode = sx[:, :, mode][:, :, None] + sx[:, :, mode][:, None, :]
-        ref += (dmode * Y + psik[..., mode]) * dwk[:, mode][:, None, None]
-    out = tensor_noise(sx, dwk, Y, psik)
-    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
-    ref0 = ref - np.einsum("pijk,pk->pij", psik, dwk)
-    out0 = tensor_noise(sx, dwk, Y)
-    assert np.max(np.abs(out0 - ref0)) <= 1e-13 * np.max(np.abs(ref0))
-    bx = gen.normal(size=(m, n))
+    Phi = gen.normal(size=(scn.n_t, m, n, n))
+    for Psi in (gen.normal(size=(scn.n_t, m, n, n, K)),
+                gen.normal(size=(scn.n_t, 1, n, n, K))):
+        out = simulate_tensor(scn, xbar, ubar, ens, phi=lambda k: Phi[k],
+                              psi=lambda k: Psi[k]).final
+        ref = np.zeros((m, n, n))
+        for k in range(scn.n_t):
+            x = xbar[k]
+            bx = scn.coeffs.b_x(x, ubar.evaluate(k, scn, x))
+            sx = scn.sigma_x_eff(x, ubar.evaluate(k, scn, x))
+            c = (bx[:, :, None] + bx[:, None, :]
+                 + np.einsum("pik,pjk->pij", sx, sx))
+            explicit = ref + scn.dt * (c * ref + Phi[k])
+            for mode in range(K):
+                dmode = sx[:, :, mode][:, :, None] + sx[:, :, mode][:, None, :]
+                explicit += ((dmode * ref + Psi[k][..., mode])
+                             * ens.dW[:, k, mode][:, None, None])
+            ref = stepper.solve2(explicit)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+    gen = np.random.Generator(np.random.Philox(key=42))
+    sx, bx, dwk = (gen.normal(size=(m, n, K)), gen.normal(size=(m, n)),
+                   gen.normal(size=(m, K)))
     c = bx[:, :, None] + bx[:, None, :] + np.einsum("pik,pjk->pij", sx, sx)
-    assert np.max(np.abs(tensor_drift(bx, sx) - c)) <= 1e-13 * np.max(np.abs(c))
+    s = np.einsum("pnk,pk->pn", sx, dwk)
+    for G, ref in ((tensor_multiplier(bx, sx, 0.1), 1.0 + 0.1 * c),
+                   (tensor_multiplier(bx, sx, 0.1, dwk),
+                    1.0 + 0.1 * c + s[:, :, None] + s[:, None, :])):
+        assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("K, shapes", [(1, False), (2, True)])
+def test_stacked_tensor_probes_equal_single_probe_sweeps(K, shapes):
+    # (J, 1, ...) sources march J product-space states step-major, bit for
+    # bit as one sweep per probe; the hook sees all J states
+    scn = make_scenario("bilinear", n=8, n_t=16, K=K, shapes=shapes)
+    ens = PathEnsemble.for_scenario(scn, n_paths=30)
+    ubar = scn.base_control
+    xbar = simulate_state(scn, ubar, ens)
+    probes = make_tensor_probes(scn, 3)
+    phis = np.stack([Phi for Phi, _ in probes], axis=1)[:, :, None]
+    psis = np.stack([Psi for _, Psi in probes], axis=1)[:, :, None]
+    shapes_seen = set()
+    stacked = simulate_tensor(scn, xbar, ubar, ens, phi=lambda k: phis[k],
+                              psi=lambda k: psis[k],
+                              step_hook=lambda k, Y: shapes_seen.add(Y.shape))
+    assert shapes_seen == {(3, 30, 8, 8)}
+    for j, (Phi, Psi) in enumerate(probes):
+        single = simulate_tensor(scn, xbar, ubar, ens,
+                                 phi=lambda k: phis[k, j],
+                                 psi=lambda k: psis[k, j])
+        assert np.array_equal(stacked.final[j], single.final)
+        # the per-probe sweep with the unfolded multiplier, as a reference
+        ref = reference_simulate_tensor(scn, xbar, ubar, ens,
+                                        phi=lambda k: Phi[k],
+                                        psi=lambda k: Psi[k])
+        assert np.max(np.abs(single.final - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_cost_sweep_returns_the_terminal_state():

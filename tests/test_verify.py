@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import make_scenario, sweep_cost
+from spde_control import adjoint, verify
 from spde_control.ensemble import PathEnsemble
 from spde_control.forward import BlowUpError, simulate_state
 from spde_control.adjoint import solve_adjoint1, solve_adjoint2_mollified
@@ -53,6 +54,31 @@ def test_second_order_duality_smoke():
     rep = check_duality2(scn, scn.base_control, ens, 4.0 * scn.grid.h ** 2,
                          probes)
     assert rep.passed(0.15)
+
+
+def test_second_order_duality_runs_one_tensor_sweep(monkeypatch):
+    # every probe marches in one product-space sweep, and the terminal the
+    # backward sweep starts from is the one the terminal pairing uses
+    scn = make_scenario("bilinear", n=8, n_t=16)
+    ens = PathEnsemble.for_scenario(scn, n_paths=300)
+    probes = make_tensor_probes(scn, 3, seed=scn.seed)
+    eta = 4.0 * scn.grid.h ** 2
+    calls = []
+    for mod, name in ((verify, "simulate_tensor"),
+                      (adjoint, "mollified_terminal_batch")):
+        orig = getattr(mod, name)
+
+        def count(*args, orig=orig, name=name, **kwargs):
+            calls.append(name)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, count)
+    rep = check_duality2(scn, scn.base_control, ens, eta, probes)
+    assert sorted(calls) == ["mollified_terminal_batch", "simulate_tensor"]
+    for j, probe in enumerate(probes):
+        row = check_duality2(scn, scn.base_control, ens, eta, [probe]).rows[0]
+        for key in ("lhs", "rhs", "lhs_se", "rhs_se"):
+            assert row[key] == pytest.approx(rep.rows[j][key], rel=1e-12)
 
 
 def test_tensor_identity_smoke():
