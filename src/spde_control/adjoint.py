@@ -12,9 +12,11 @@ The second-order pair lives on the square; its terminal condition is the
 heat-kernel mollification of the diagonal curvature distribution.  A single
 width (solve_adjoint2_mollified) and a vanishing-width ladder
 (solve_adjoint2_limit) run one backward kernel that marches every width in
-lockstep.  The first-order and the single-width solvers expose a step hook
-so that pairings with forward sources can be accumulated during the sweep
-without storing the backward trajectory.
+lockstep over path chunks, keeping P between steps in coefficient form, so
+no (M, n, n) array lives but P_0 and the steps asked for.  The first-order
+and the single-width solvers expose a step hook (on the square, in
+coefficient form) so that pairings with forward sources can be accumulated
+during the sweep without storing the backward trajectory.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import numpy as np
 from scipy.linalg import qr
 
 from .ensemble import PathEnsemble
-from .forward import Trajectory, _stepper, tensor_multiplier
+from .forward import Trajectory, _stepper, path_chunks, tensor_multiplier
 from .operators import (EllipticOperator, SpectralBasis,
                         mollified_terminal_batch, sobolev_norms_batch)
 from .scenario import ControlProcess, Scenario
@@ -133,13 +135,11 @@ def _curvature(scn: Scenario, x: np.ndarray, uk, p: np.ndarray,
             + np.einsum("pnk,pnk->pn", scn.sigma_xx_eff(x, uk), q))
 
 
-def _qcouple(sx: np.ndarray, Qk: np.ndarray) -> np.ndarray:
-    """sum_k (sx_k (+) sx_k) Q_k: the martingale coupling of the
-    second-order adjoint, from sx (M, n, K) and Qk (M, K, n, n)."""
-    out = (sx[:, :, 0, None] + sx[:, None, :, 0]) * Qk[:, 0]
-    for k in range(1, Qk.shape[1]):
-        out += (sx[:, :, k, None] + sx[:, None, :, k]) * Qk[:, k]
-    return out
+def _coupling(sx: np.ndarray, out=None) -> np.ndarray:
+    """Mode-major (M, K, n, n) coupling sx_k (+) sx_k of the second-order
+    martingale term sum_k (sx_k (+) sx_k) Q_k, from sx (M, n, K)."""
+    s = np.moveaxis(sx, 2, 1)
+    return np.add(s[:, :, :, None], s[:, :, None, :], out=out)
 
 
 @dataclass
@@ -208,28 +208,85 @@ class BackwardPair2:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _sweep2(scn, xbar, ubar, ens, pair1, Ps, method, store_steps, step_hook):
-    """Backward sweep of the mollified second-order pair from the terminal
-    conditions Ps, one per width, with every width marching in lockstep, so
-    memory stays at a few (M, n, n) blocks per width and the squared Cauchy
-    increments between consecutive widths stream step by step.  Ps is
-    overwritten step by step and ends holding the per-width P_0.
-    store_steps (n_t names the terminal), step_hook and max_asymmetry apply
-    to the last width.  Returns the per-width a-priori statistics, the
-    squared increments, the stored steps and the diagnostics.
+def _sweep2(scn, xbar, ubar, ens, pair1, etas, method, store_steps, step_hook):
+    """Backward sweep of the mollified second-order pair from the terminals
+    at the widths etas, every width marching in lockstep over path chunks
+    (forward.path_chunks).  Between steps P_{k+1} stays in coefficient form:
+    the fit Qr, b_x, sigma_x and the curvature source at step k + 1, and per
+    width S (keep, n, n) and SQ (keep, K, n, n), the resolved fits of P and
+    P dW.  One pass over the chunks rebuilds every width's P_{k+1} once, only
+    to accumulate step k's fit, the norms, the Cauchy increments between
+    consecutive widths, max_asymmetry and any stored step; the first pass
+    builds the terminals and their distances to the diagonal curvature
+    distribution, the last materializes P_0 of the last width, to which
+    store_steps (n_t names the terminal), step_hook and max_asymmetry
+    apply.  Returns that P_0, the per-width a-priori statistics, squared
+    increments and terminal distances, the stored steps and diagnostics.
     """
     fit, diag = _step_fit(scn, ens.n_paths, method)
     stepper = _stepper(scn)
     basis2 = SpectralBasis.build(scn.grid.square(), scn.op)
     m, n, K, h, dt = ens.n_paths, scn.grid.n, scn.n_modes, scn.grid.h, scn.dt
     idx = np.arange(n)
-    last = len(Ps) - 1
-    sup_hm1 = [float(np.mean(sobolev_norms_batch(P, basis2, -1.0) ** 2))
-               for P in Ps]
-    int_l2 = [0.0] * len(Ps)
-    cauchy_sq = [0.0] * last
-    stored = {scn.n_t: Ps[last].copy()} if scn.n_t in store_steps else {}
-    max_asym = 0.0
+    chunks = path_chunks(m, n)
+    W, rows = len(etas), chunks[0].stop
+    # chunk buffers, written in place by every pass
+    Pc, (Qk, Ck) = np.empty((W, rows, n, n)), np.empty((2, rows, K, n, n))
+    Mk, rate, G1, scratch = np.empty((4, rows, n, n))
+    acc = np.zeros((4, W))  # sup H^-1^2, sum dt L2^2, distance, Cauchy^2
+    stored, max_asym, lin = {}, 0.0, None  # lin: P_{k+1}, None: the terminal
+
+    def march(j, design):
+        """Rebuild P_j of every width by chunks; accumulate stats and fit."""
+        nonlocal max_asym
+        sums = np.zeros((4, W))  # path sums: H^-1^2, L2^2, distance, Cauchy
+        coef = [0.0] * W
+        sink = np.empty((m, n, n)) if j == 0 or j in store_steps else None
+        for c in chunks:
+            L = c.stop - c.start
+            P = Pc[:, :L]
+            if lin is None:
+                xT = xbar.final[c]
+                for i, eta in enumerate(etas):
+                    P[i] = mollified_terminal_batch(xT, scn.coeffs.h_xx, scn.grid, eta)
+                    sums[2, i] += np.sum(_terminal_gaps(scn, basis2, xT, P[i]))
+            else:
+                Qr, bx, sx, source, S, SQ = lin
+                tensor_multiplier(bx[c], sx[c], dt, out=G1[:L])
+                _coupling(sx[c], out=Ck[:L])
+                for i in range(W):
+                    # resolvent first (exact discrete adjoint), then the explicit terms
+                    np.dot(Qr[c], S[i].reshape(len(S[i]), -1), out=Mk[:L].reshape(L, -1))
+                    np.dot(Qr[c], SQ[i].reshape(len(SQ[i]), -1),
+                           out=Qk[:L].reshape(L, -1))
+                    r = np.einsum("pkij,pkij->pij", Ck[:L], Qk[:L], out=rate[:L])
+                    r[:, idx, idx] += source[c]
+                    r *= dt
+                    Pi = np.multiply(G1[:L], Mk[:L], out=P[i])
+                    Pi += r
+                for i in range(W - 1):
+                    sums[3, i] += np.sum(h ** 2 * np.sum((P[i] - P[i + 1]) ** 2,
+                                                         axis=(-2, -1)))
+                a = np.subtract(P[-1], np.swapaxes(P[-1], 1, 2), out=scratch[:L])
+                max_asym = max(max_asym, float(np.max(np.abs(a, out=a))))
+            for i in range(W):
+                hm1, l2 = sobolev_norms_batch(P[i], basis2, (-1.0, 0.0))
+                sums[0, i] += np.sum(hm1 ** 2)
+                sums[1, i] += np.sum(l2 ** 2)
+                if design is not None:
+                    coef[i] += design[c].T @ P[i].reshape(L, -1)
+            if sink is not None:
+                sink[c] = P[-1]
+        means = sums / m
+        if lin is None:  # the terminal: no time step, no increment
+            acc[[0, 2]] = means[[0, 2]]
+        else:
+            acc[0] = np.maximum(acc[0], means[0])
+            acc[[1, 3]] += dt * means[[1, 3]]
+        if j in store_steps:
+            stored[j] = sink
+        return coef, sink
+
     for k in range(scn.n_t - 1, -1, -1):
         x = xbar[k]
         uk = ubar.evaluate(k, scn, x)
@@ -239,33 +296,20 @@ def _sweep2(scn, xbar, ubar, ens, pair1, Ps, method, store_steps, step_hook):
         # [Qr | Qr dW_1 | ... | Qr dW_K]: one GEMM per width fits every target
         design = (np.column_stack([np.ones(m), ens.dW[:, k]])[:, :, None]
                   * Qr[:, None, :]).reshape(m, -1)
-        sx = scn.sigma_x_eff(x, uk)
-        G1 = tensor_multiplier(scn.coeffs.b_x(x, uk), sx, dt)
-        # the source is the diagonal embedding of the curvature
-        diag_source = _curvature(scn, x, uk, pair1.p[k], pair1.q[k]) / h
-        for i, P in enumerate(Ps):
-            # resolvent first (exact discrete adjoint), explicit terms second
-            coef = (design.T @ P.reshape(m, -1)).reshape(K + 1, -1, n, n)
-            Mk = np.tensordot(Qr, stepper.solve2(coef[0]), axes=1)
-            Qk = np.tensordot(Qr, stepper.solve2(coef[1:].swapaxes(0, 1) / dt), axes=1)
-            rate = _qcouple(sx, Qk)
-            rate[:, idx, idx] += diag_source
-            P = Ps[i] = G1 * Mk + dt * rate
-            hm1, l2 = sobolev_norms_batch(P, basis2, (-1.0, 0.0))
-            sup_hm1[i] = max(sup_hm1[i], float(np.mean(hm1 ** 2)))
-            int_l2[i] += dt * float(np.mean(l2 ** 2))
-        max_asym = max(max_asym, float(np.max(np.abs(P - np.swapaxes(P, 1, 2)))))
-        if k in store_steps:
-            stored[k] = P.copy()
+        S, SQ = [], []
+        for coef in march(k + 1, design)[0]:
+            coef = coef.reshape(K + 1, -1, n, n)
+            S.append(stepper.solve2(coef[0]))
+            SQ.append(stepper.solve2(coef[1:].swapaxes(0, 1) / dt))
         if step_hook is not None:
-            step_hook(k, Mk, np.moveaxis(Qk, 1, 3))
-        # time-L2 Cauchy increments over the left endpoints k = 0 .. n_t - 1
-        for i in range(last):
-            sq = h ** 2 * np.sum((Ps[i] - Ps[i + 1]) ** 2, axis=(-2, -1))
-            cauchy_sq[i] += dt * float(np.mean(sq))
-    stats = [s + l2 for s, l2 in zip(sup_hm1, int_l2)]
+            step_hook(k, Qr, S[-1], SQ[-1])
+        # the source is the diagonal embedding of the curvature
+        lin = (Qr, scn.coeffs.b_x(x, uk), scn.sigma_x_eff(x, uk),
+               _curvature(scn, x, uk, pair1.p[k], pair1.q[k]) / h, S, SQ)
+    P0 = march(0, None)[1]
     diag["max_asymmetry"] = max_asym
-    return stats, cauchy_sq, stored, diag
+    return (P0, (acc[0] + acc[1]).tolist(), acc[3, :-1].tolist(), acc[2].tolist(),
+            stored, diag)
 
 
 def solve_adjoint2_mollified(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
@@ -276,19 +320,22 @@ def solve_adjoint2_mollified(scn: Scenario, xbar: Trajectory, ubar: ControlProce
 
     The additive source is the diagonal embedding of the curvature of the
     Hamiltonian along the reference path, l_xx + b_xx p + <sigma_xx, q>,
-    evaluated with the first-order pair.  step_hook(k, M_k, Q_k) receives
-    the pairing values at step k -- the resolvent-smoothed conditional mean
-    of P_{k+1} and the martingale component (shape (M, n, n, K)) -- which
-    is what source pairings must use for exact discrete duality.
+    evaluated with the first-order pair.  step_hook(k, Qr, S, SQ) receives
+    the pairing values at step k in coefficient form: the resolvent-
+    smoothed conditional mean of P_{k+1} is M_k = Qr S and the martingale
+    component, mode-major (M, K, n, n), is Q_k = Qr SQ, with Qr (M, keep)
+    the step's orthonormal regression basis (under "mean" the constant
+    column M^-1/2), S (keep, n, n) and SQ (keep, K, n, n).  These are what
+    source pairings must use for exact discrete duality; pair a source with
+    S and SQ first and lift the (keep,) result with Qr.
 
     The a-priori statistic sup_k E ||P_k||_{H^-1}^2 + E sum dt ||P_k||_{L2}^2
     is accumulated during the sweep.  This is the lockstep kernel of
     solve_adjoint2_limit run at the single width eta.
     """
-    Ps = [mollified_terminal_batch(xbar.final, scn.coeffs.h_xx, scn.grid, eta)]
-    stats, _, stored, diag = _sweep2(scn, xbar, ubar, ens, pair1, Ps, method,
-                                     store_steps, step_hook)
-    return BackwardPair2(eta, Ps[0], stored, stats[0], diag)
+    P0, stats, _, _, stored, diag = _sweep2(scn, xbar, ubar, ens, pair1, [eta],
+                                            method, store_steps, step_hook)
+    return BackwardPair2(eta, P0, stored, stats[0], diag)
 
 
 @dataclass
@@ -304,14 +351,21 @@ class EtaLadderReport:
     finest: BackwardPair2
 
 
+def _terminal_gaps(scn: Scenario, basis2: SpectralBasis, xT: np.ndarray,
+                   moll: np.ndarray) -> np.ndarray:
+    """Per-path H^-1 distances between mollified terminal conditions moll
+    and the diagonal curvature distribution along the terminal states xT."""
+    diff = moll.copy()
+    idx = np.arange(scn.grid.n)
+    diff[..., idx, idx] -= np.asarray(scn.coeffs.h_xx(xT), dtype=float) / scn.grid.h
+    return sobolev_norms_batch(diff, basis2, -1.0)
+
+
 def terminal_distance(scn: Scenario, xbarT: np.ndarray, moll: np.ndarray) -> float:
     """H^-1 distance between the mollified terminal condition moll and the
     diagonal curvature distribution, averaged over paths."""
     basis2 = SpectralBasis.build(scn.grid.square(), scn.op)
-    diff = moll.copy()
-    idx = np.arange(scn.grid.n)
-    diff[..., idx, idx] -= np.asarray(scn.coeffs.h_xx(xbarT), dtype=float) / scn.grid.h
-    return float(np.mean(sobolev_norms_batch(diff, basis2, -1.0)))
+    return float(np.mean(_terminal_gaps(scn, basis2, xbarT, moll)))
 
 
 def solve_adjoint2_limit(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
@@ -321,21 +375,18 @@ def solve_adjoint2_limit(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
 
     All widths run through the one lockstep kernel that also serves
     solve_adjoint2_mollified, so the finest pair equals a single-width
-    solve at that width bit for bit.  Each width's terminal condition is
-    built once: its distance to the diagonal curvature distribution is
-    taken before the sweep starts from it.  Consecutive solutions are
-    compared in L2([0, T] x paths; L2(square)) to certify Cauchy
-    behaviour; the finest-width pair is returned as the limit
-    representative.
+    solve at that width bit for bit.  The kernel streams the paths in
+    chunks: each width's terminal condition is built chunk by chunk in the
+    sweep's first pass, which also takes its distance to the diagonal
+    curvature distribution.  Consecutive solutions are compared in
+    L2([0, T] x paths; L2(square)) to certify Cauchy behaviour; the
+    finest-width pair is returned as the limit representative.
     """
     etas = sorted(etas, reverse=True)
     if len(etas) < 2:
         raise ValueError("eta ladder needs at least two widths")
-    Ps = [mollified_terminal_batch(xbar.final, scn.coeffs.h_xx, scn.grid, eta)
-          for eta in etas]
-    dists = [terminal_distance(scn, xbar.final, P) for P in Ps]
-    stats, cauchy_sq, stored, diag = _sweep2(scn, xbar, ubar, ens, pair1, Ps,
-                                             "regress", (), None)
+    P0, stats, cauchy_sq, dists, stored, diag = _sweep2(
+        scn, xbar, ubar, ens, pair1, etas, "regress", (), None)
     increments = [float(np.sqrt(v)) for v in cauchy_sq]
-    finest = BackwardPair2(etas[-1], Ps[-1], stored, stats[-1], diag)
+    finest = BackwardPair2(etas[-1], P0, stored, stats[-1], diag)
     return EtaLadderReport(list(etas), stats, dists, increments, finest)

@@ -147,11 +147,31 @@ def simulate_linear(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
     return Trajectory(values, y)
 
 
-def tensor_multiplier(bx: np.ndarray, sx: np.ndarray, dt: float, dw=None):
-    """(M, n, n) multiplier 1 + dt c + s (+) s of a product-space step: c =
-    b_x(i) + b_x(j) + <sigma_x(i), sigma_x(j)>, s = sum_k sigma_x,k dW_k."""
+# bytes of one (chunk, n, n) block: the product-space kernels stream the
+# paths in chunks of this size
+CHUNK_BYTES = 1 << 20
+
+
+def path_chunks(m: int, n: int) -> list:
+    """Slices of the path axis whose (chunk, n, n) float blocks hold at most
+    CHUNK_BYTES (at least one path each), in path order."""
+    rows = max(1, CHUNK_BYTES // (8 * n * n))
+    return [slice(a, min(a + rows, m)) for a in range(0, m, rows)]
+
+
+def _part(src: np.ndarray, j: int, c: slice, ndim: int) -> np.ndarray:
+    """Probe j's source (if src has a probe axis, ndim + 1 axes) on the path
+    chunk c: only a per-path source, ndim axes and several paths, is cut."""
+    src = src[j] if np.ndim(src) > ndim else src
+    return src[c] if np.ndim(src) == ndim and len(src) > 1 else src
+
+
+def tensor_multiplier(bx: np.ndarray, sx: np.ndarray, dt: float, dw=None,
+                      out=None):
+    """(M, n, n) multiplier 1 + dt c + s (+) s of a product-space step (into
+    out): c = b_x(i) + b_x(j) + <sigma_x(i), sigma_x(j)>, s = sum_k sx_k dW_k."""
     e = 0.5 + dt * bx + (0.0 if dw is None else np.einsum("pnk,pk->pn", sx, dw))
-    G = (dt * sx) @ np.swapaxes(sx, 1, 2)
+    G = np.matmul(dt * sx, np.swapaxes(sx, 1, 2), out=out)
     G += e[:, :, None]
     G += e[:, None, :]
     return G
@@ -177,9 +197,14 @@ def simulate_tensor(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
     k -> arrays broadcasting to (M, n, n) and (M, n, n, K); None, or a None
     return, means zero.  Sources with a leading probe axis, (J, 1, n, n)
     and (J, 1, n, n, K), march J states step-major in one (J, M, n, n) Y.
+    Providers are called once per step; the step runs on path chunks
+    (path_chunks), so its temporaries are a few chunk-sized blocks.
     """
     stepper = _stepper(scn)
-    Y = np.zeros((ens.n_paths, scn.grid.n, scn.grid.n))
+    m, n = ens.n_paths, scn.grid.n
+    chunks = path_chunks(m, n)
+    G, rhs = np.empty((2, chunks[0].stop, n, n))  # chunk buffers
+    Y = np.zeros((m, n, n))
     for k in range(scn.n_t):
         phik, psik = _source(phi, k), _source(psi, k)
         if Y.ndim == 3 and (np.ndim(phik) == 4 or np.ndim(psik) == 5):  # probes
@@ -188,18 +213,21 @@ def simulate_tensor(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
             step_hook(k, Y)
         x, dw = xbar[k], ens.dW[:, k]
         ub = ubar.evaluate(k, scn, x)
-        sx = scn.sigma_x_eff(x, ub)
-        G = tensor_multiplier(scn.coeffs.b_x(x, ub), sx, scn.dt, dw)
-        for j, Yj in enumerate(Y if Y.ndim == 4 else Y[None]):
-            rhs = G * Yj
-            if phik is not None:
-                rhs += scn.dt * (phik[j] if np.ndim(phik) == 4 else phik)
-            if psik is not None:
-                rhs += _tensor_noise(psik[j] if np.ndim(psik) == 5 else psik, dw)
-            if Y.ndim == 4:
-                Y[j] = stepper.solve2(rhs)
-            else:
-                Y = stepper.solve2(rhs)
+        sx, bx = scn.sigma_x_eff(x, ub), scn.coeffs.b_x(x, ub)
+        # without a probe axis the state is rebound, so a hook may keep it
+        new = Y if Y.ndim == 4 else np.empty_like(Y)
+        for c in chunks:
+            L = c.stop - c.start
+            tensor_multiplier(bx[c], sx[c], scn.dt, dw[c], out=G[:L])
+            for j, (Yj, out) in enumerate(zip(Y.reshape(-1, m, n, n),
+                                              new.reshape(-1, m, n, n))):
+                r = np.multiply(G[:L], Yj[c], out=rhs[:L])
+                if phik is not None:
+                    r += scn.dt * _part(phik, j, c, 3)
+                if psik is not None:
+                    r += _tensor_noise(_part(psik, j, c, 4), dw[c])
+                out[c] = stepper.solve2(r)
+        Y = new
         _check_finite(Y, k + 1)
     return Trajectory(None, Y)
 

@@ -158,12 +158,13 @@ def check_duality2(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
     psis = np.stack([Psi for _, Psi in probes], axis=1)[:, :, None]
     rhs_acc, lhs_acc = np.zeros((2, len(probes), m))
 
-    def backward_hook(k, P, Q):
-        # Psi mode-major to match Q's storage
+    def backward_hook(k, Qr, S, SQ):
+        # (J, keep) pairings with the coefficients, lifted to the paths once;
+        # Psi mode-major to match SQ's storage
         rhs_acc[:] += dt * h ** 2 * (
-            phis[k].reshape(len(probes), -1) @ P.reshape(m, -1).T
-            + np.moveaxis(psis[k], -1, 1).reshape(len(probes), -1)
-            @ np.moveaxis(Q, 3, 1).reshape(m, -1).T)
+            (phis[k].reshape(len(probes), -1) @ S.reshape(len(S), -1).T
+             + np.moveaxis(psis[k], -1, 1).reshape(len(probes), -1)
+             @ SQ.reshape(len(SQ), -1).T) @ Qr.T)
 
     # the sweep hands back the terminal it starts from as step n_t
     PT = solve_adjoint2_mollified(scn, xbar, ubar, ens, pair1, eta,

@@ -103,13 +103,80 @@ def tensor_from_csv(text):
 
 # -- reference second-order kernels: the per-target, per-probe arithmetic ----
 
+def qcouple(sx, Qk):
+    """sum_k (sx_k (+) sx_k) Q_k from sx (M, n, K) and Qk (M, K, n, n), one
+    strided mode at a time."""
+    out = (sx[:, :, 0, None] + sx[:, None, :, 0]) * Qk[:, 0]
+    for k in range(1, Qk.shape[1]):
+        out += (sx[:, :, k, None] + sx[:, None, :, k]) * Qk[:, k]
+    return out
+
+
+def lockstep_sweep2(scn, xbar, ubar, ens, pair1, Ps, method, store_steps,
+                    step_hook):
+    """adjoint._sweep2 before path chunking: every width's whole (M, n, n)
+    P marches in lockstep from the terminals Ps, which end holding P_0.
+    step_hook(k, Mk, Qk) gets the lifted pairing values, Qk (M, n, n, K).
+    Returns the per-width a-priori statistics, the squared increments, the
+    stored steps and the diagnostics."""
+    from spde_control.adjoint import _curvature, _step_fit
+    from spde_control.forward import _stepper, tensor_multiplier
+    from spde_control.operators import SpectralBasis, sobolev_norms_batch
+
+    fit, diag = _step_fit(scn, ens.n_paths, method)
+    stepper = _stepper(scn)
+    basis2 = SpectralBasis.build(scn.grid.square(), scn.op)
+    m, n, K, h, dt = ens.n_paths, scn.grid.n, scn.n_modes, scn.grid.h, scn.dt
+    idx = np.arange(n)
+    last = len(Ps) - 1
+    sup_hm1 = [float(np.mean(sobolev_norms_batch(P, basis2, -1.0) ** 2))
+               for P in Ps]
+    int_l2 = [0.0] * len(Ps)
+    cauchy_sq = [0.0] * last
+    stored = {scn.n_t: Ps[last].copy()} if scn.n_t in store_steps else {}
+    max_asym = 0.0
+    for k in range(scn.n_t - 1, -1, -1):
+        x = xbar[k]
+        uk = ubar.evaluate(k, scn, x)
+        Qr = fit(x)
+        if Qr is None:
+            Qr = np.full((m, 1), m ** -0.5)
+        design = (np.column_stack([np.ones(m), ens.dW[:, k]])[:, :, None]
+                  * Qr[:, None, :]).reshape(m, -1)
+        sx = scn.sigma_x_eff(x, uk)
+        G1 = tensor_multiplier(scn.coeffs.b_x(x, uk), sx, dt)
+        diag_source = _curvature(scn, x, uk, pair1.p[k], pair1.q[k]) / h
+        for i, P in enumerate(Ps):
+            coef = (design.T @ P.reshape(m, -1)).reshape(K + 1, -1, n, n)
+            Mk = np.tensordot(Qr, stepper.solve2(coef[0]), axes=1)
+            Qk = np.tensordot(Qr, stepper.solve2(coef[1:].swapaxes(0, 1) / dt),
+                              axes=1)
+            rate = qcouple(sx, Qk)
+            rate[:, idx, idx] += diag_source
+            P = Ps[i] = G1 * Mk + dt * rate
+            hm1, l2 = sobolev_norms_batch(P, basis2, (-1.0, 0.0))
+            sup_hm1[i] = max(sup_hm1[i], float(np.mean(hm1 ** 2)))
+            int_l2[i] += dt * float(np.mean(l2 ** 2))
+        max_asym = max(max_asym,
+                       float(np.max(np.abs(P - np.swapaxes(P, 1, 2)))))
+        if k in store_steps:
+            stored[k] = P.copy()
+        if step_hook is not None:
+            step_hook(k, Mk, np.moveaxis(Qk, 1, 3))
+        for i in range(last):
+            sq = h ** 2 * np.sum((Ps[i] - Ps[i + 1]) ** 2, axis=(-2, -1))
+            cauchy_sq[i] += dt * float(np.mean(sq))
+    stats = [s + l2 for s, l2 in zip(sup_hm1, int_l2)]
+    diag["max_asymmetry"] = max_asym
+    return stats, cauchy_sq, stored, diag
+
+
 def reference_sweep2(scn, xbar, ubar, ens, pair1, Ps, method, store_steps,
                      step_hook):
-    """adjoint._sweep2 with one regression per target: the martingale
+    """lockstep_sweep2 with one regression per target: the martingale
     target is the (M, K, n, n) product P dW, each target is projected by
     its own tensordot pair, and P = Mk + dt (c Mk + qcouple + source)."""
-    from spde_control.adjoint import (_curvature, _qcouple, _smoothed,
-                                      _step_fit)
+    from spde_control.adjoint import _curvature, _smoothed, _step_fit
     from spde_control.forward import _stepper
     from spde_control.operators import SpectralBasis, sobolev_norms_batch
 
@@ -138,7 +205,7 @@ def reference_sweep2(scn, xbar, ubar, ens, pair1, Ps, method, store_steps,
             Qk = _smoothed(Qr, P[:, None] * dwk,
                            lambda T: stepper.solve2(T / dt))
             rate = c * Mk
-            rate += _qcouple(sx, Qk)
+            rate += qcouple(sx, Qk)
             rate[:, idx, idx] += diag_source
             P = Ps[i] = Mk + dt * rate
             hm1, l2 = sobolev_norms_batch(P, basis2, (-1.0, 0.0))

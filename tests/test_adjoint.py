@@ -3,10 +3,10 @@ vanishing-mollifier ladder, and oracle cross-checks."""
 import numpy as np
 import pytest
 
-from helpers import make_scenario, reference_sweep2
-from spde_control import adjoint
-from spde_control.adjoint import (RegressionBasis, RegressionError, _project,
-                                  _qcouple, _smoothed, solve_adjoint1,
+from helpers import lockstep_sweep2, make_scenario, qcouple, reference_sweep2
+from spde_control import adjoint, forward
+from spde_control.adjoint import (RegressionBasis, RegressionError, _coupling,
+                                  _project, _smoothed, solve_adjoint1,
                                   solve_adjoint2_limit, solve_adjoint2_mollified,
                                   terminal_distance)
 from spde_control.ensemble import PathEnsemble
@@ -154,14 +154,20 @@ def test_ansatz_oracle_requires_affine_preset():
 # -- second-order pair -------------------------------------------------------
 
 def test_martingale_coupling_matches_einsum_formula():
+    # the mode-major coupling is formed once per chunk for every width; one
+    # einsum per width reduces it against Qk, bit for bit as the strided
+    # mode-by-mode sum for K <= 2
     gen = np.random.Generator(np.random.Philox(key=43))
-    sx = gen.normal(size=(6, 10, 3))
-    Qk = gen.normal(size=(6, 3, 10, 10))
-    Q = np.moveaxis(Qk, 1, 3)
-    ref = (np.einsum("pik,pijk->pij", sx, Q)
-           + np.einsum("pjk,pijk->pij", sx, Q))
-    out = _qcouple(sx, Qk)
-    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for K in (1, 2, 3):
+        sx = gen.normal(size=(6, 10, K))
+        Qk = gen.normal(size=(6, K, 10, 10))
+        Q = np.moveaxis(Qk, 1, 3)
+        ref = (np.einsum("pik,pijk->pij", sx, Q)
+               + np.einsum("pjk,pijk->pij", sx, Q))
+        out = np.einsum("pkij,pkij->pij", _coupling(sx), Qk)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        if K <= 2:
+            assert np.array_equal(out, qcouple(sx, Qk))
 
 
 def test_second_order_solution_is_symmetric():
@@ -213,34 +219,83 @@ def _rel(out, ref):
                  / np.max(np.abs(ref)))
 
 
+def _sweep_runs(K, method):
+    """The streamed sweep (three widths, steps {0, 5, n_t} stored, hook on)
+    and the lockstep and per-target references from the same terminals.
+    Each run is (P_0, stats, increments, distances, stored, hook values),
+    the hook values lifted to (M, n, n) and (M, n, n, K)."""
+    scn = make_scenario("bilinear", n=8, n_t=16, K=K, shapes=K > 1)
+    ens, xbar, pair1 = _solved(scn, 300, method=method)
+    ubar, h2 = scn.base_control, scn.grid.h ** 2
+    etas = [16 * h2, 8 * h2, 4 * h2]
+    steps = {0, 5, scn.n_t}
+
+    def streamed():
+        hooks = []
+        P0, stats, cauchy_sq, dists, stored, _ = adjoint._sweep2(
+            scn, xbar, ubar, ens, pair1, etas, method, steps,
+            lambda k, Qr, S, SQ: hooks.append(
+                (np.tensordot(Qr, S, axes=1),
+                 np.moveaxis(np.tensordot(Qr, SQ, axes=1), 1, 3))))
+        return P0, stats, np.sqrt(cauchy_sq), dists, stored, hooks
+
+    def reference(sweep):
+        Ps = [mollified_terminal_batch(xbar.final, scn.coeffs.h_xx, scn.grid,
+                                       eta) for eta in etas]
+        dists = [terminal_distance(scn, xbar.final, P) for P in Ps]
+        hooks = []
+        stats, cauchy_sq, stored, _ = sweep(
+            scn, xbar, ubar, ens, pair1, Ps, method, steps,
+            lambda k, Mk, Qk: hooks.append((Mk.copy(), Qk.copy())))
+        stored.setdefault(scn.n_t, mollified_terminal_batch(
+            xbar.final, scn.coeffs.h_xx, scn.grid, etas[-1]))
+        return Ps[-1], stats, np.sqrt(cauchy_sq), dists, stored, hooks
+
+    return streamed, reference
+
+
+def _assert_runs_agree(run, ref, equal):
+    """Bit for bit when equal, else within 1e-12 relative on everything."""
+    close = (np.array_equal if equal
+             else lambda out, r: _rel(out, r) <= 1e-12)
+    (P0, stats, incs, dists, stored, hooks) = run
+    (rP0, rstats, rincs, rdists, rstored, rhooks) = ref
+    assert close(P0, rP0)
+    assert close(stats, rstats) and close(incs, rincs) and close(dists, rdists)
+    assert set(stored) == set(rstored)
+    assert all(close(stored[k], rstored[k]) for k in stored)
+    assert len(hooks) == len(rhooks)
+    for (Mk, Qk), (rMk, rQk) in zip(hooks, rhooks):
+        assert Qk.shape == rQk.shape
+        assert close(Mk, rMk) and close(Qk, rQk)
+
+
 @pytest.mark.parametrize("method", ["regress", "mean"])
 @pytest.mark.parametrize("K", [1, 2])
 def test_one_gemm_sweep_matches_per_target_reference(method, K):
     # one GEMM per width fits the P target and every martingale target; the
     # reference regresses each target separately and steps Mk + dt (c Mk +
     # ...): the two agree to rounding on everything the kernel reports
-    scn = make_scenario("bilinear", n=8, n_t=16, K=K, shapes=K > 1)
-    ens, xbar, pair1 = _solved(scn, 300, method=method)
-    h2 = scn.grid.h ** 2
-    runs = []
-    for sweep in (adjoint._sweep2, reference_sweep2):
-        Ps = [mollified_terminal_batch(xbar.final, scn.coeffs.h_xx, scn.grid,
-                                       c * h2) for c in (16, 8, 4)]
-        hooks = []
-        stats, cauchy_sq, stored, _ = sweep(
-            scn, xbar, scn.base_control, ens, pair1, Ps, method, {0, 5},
-            lambda k, Mk, Qk: hooks.append((Mk.copy(), Qk.copy())))
-        runs.append((Ps, stats, np.sqrt(cauchy_sq), stored, hooks))
-    (Ps, stats, incs, stored, hooks), (rPs, rstats, rincs, rstored, rhooks) = runs
-    assert max(_rel(P, rP) for P, rP in zip(Ps, rPs)) <= 1e-12
-    assert _rel(stats, rstats) <= 1e-12
-    assert _rel(incs, rincs) <= 1e-12
-    assert set(stored) == set(rstored) == {0, 5}
-    assert max(_rel(stored[k], rstored[k]) for k in stored) <= 1e-12
-    assert len(hooks) == len(rhooks) == scn.n_t
-    for (Mk, Qk), (rMk, rQk) in zip(hooks, rhooks):
-        assert Qk.shape == rQk.shape == (300, 8, 8, K)
-        assert _rel(Mk, rMk) <= 1e-12 and _rel(Qk, rQk) <= 1e-12
+    streamed, reference = _sweep_runs(K, method)
+    run, ref = streamed(), reference(reference_sweep2)
+    _assert_runs_agree(run, ref, equal=False)
+    assert len(run[5]) == 16 and run[5][0][1].shape == (300, 8, 8, K)
+
+
+@pytest.mark.parametrize("method", ["regress", "mean"])
+@pytest.mark.parametrize("K", [1, 2])
+def test_streamed_sweep_matches_lockstep_reference(monkeypatch, method, K):
+    # one chunk holds the ensemble: the lockstep arithmetic, bit for bit;
+    # ragged chunks (37 paths, the last 4) move sums by rounding only
+    streamed, reference = _sweep_runs(K, method)
+    lockstep = reference(lockstep_sweep2)
+    assert len(forward.path_chunks(300, 8)) == 1
+    _assert_runs_agree(streamed(), lockstep, equal=True)
+    monkeypatch.setattr(forward, "CHUNK_BYTES", 37 * 8 * 8 * 8)
+    assert [c.stop - c.start for c in forward.path_chunks(300, 8)] == [37] * 8 + [4]
+    run = streamed()
+    _assert_runs_agree(run, lockstep, equal=False)
+    _assert_runs_agree(run, reference(reference_sweep2), equal=False)
 
 
 def test_terminal_can_be_stored_as_step_n_t():

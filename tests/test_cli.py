@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, verdict records, run directories,
 manifests and output determinism."""
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spde_control import verify
 from spde_control.adjoint import RegressionError
@@ -288,3 +291,69 @@ def test_scenario_file_is_never_mutated(tmp_path, capsys):
     run(capsys, "simulate", "--scenario", src, "--paths", "20",
         "--out", str(tmp_path))
     assert open(src, "rb").read() == before
+
+
+# -- property: every input ends in one VERDICT line per verdict, or exit 2 ---
+
+# subcommand -> (fixture config, base path count, its own flags)
+COMMANDS = {
+    "simulate": ("bilinear.cfg", "200", ()),
+    "adjoint": ("bilinear.cfg", "200", ("--order", "--eta")),
+    "duality": ("bilinear.cfg", "200", ("--order", "--eta", "--probes")),
+    "rates": ("logistic_spike.cfg", "40", ("--kind", "--eps-ladder")),
+    "smp": ("bilinear.cfg", "200", ("--eta",)),
+    "oracle": ("zero_noise.cfg", "4", ("--kind", "--eta")),
+}
+COMMON_FLAGS = ("--paths", "--seed", "--scenario", "--out")
+EDGE_VALUES = {
+    "--paths": ("-1", "0", "1", "2", "3", "x", "1e3", ""),
+    "--seed": ("-1", "0", str(2 ** 64 - 1), str(2 ** 64), "x", "7.5"),
+    "--scenario": ("missing.cfg", FIXTURES),
+    "--out": ("a-file",),
+    "--order": ("0", "1", "2", "3", "x"),
+    "--eta": ("0", "-1", "nan", "inf", "-inf", "foo", "", "h2", "0h2",
+              "-4h2", "1e-300", "1e300"),
+    "--probes": ("-1", "0", "1", "x"),
+    "--kind": ("y", "residual", "all", "zero-noise", "ansatz", "bogus"),
+    "--eps-ladder": ("2^-3,2^-4,2^-5", "0,0,0", "1,1,1", "2^-3,2^-4",
+                     "-0.5,0.5,0.25,0.125", "1.5,0.5,0.25", "nan,0.5,0.25",
+                     "-8^0.5,0.5,0.25,0.125", "", ",", "2^-30,2^-31,2^-32"),
+}
+
+
+@st.composite
+def cli_inputs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    flag = draw(st.sampled_from(COMMON_FLAGS + COMMANDS[command][2]))
+    return command, flag, draw(st.sampled_from(EDGE_VALUES[flag]))
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(cli_inputs())
+def test_every_input_ends_in_verdicts_or_exit_two(tmp_path_factory, drawn):
+    command, flag, value = drawn
+    cfg, paths, _ = COMMANDS[command]
+    root = tmp_path_factory.mktemp("cli")
+    (root / "a-file").write_text("")
+    if flag in ("--scenario", "--out"):  # relative edge values live in root
+        value = os.path.join(root, value)
+    argv = [command, "--scenario", fixture(cfg), "--paths", paths,
+            "--out", str(root / "runs"), flag, value]  # the last flag wins
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = out.getvalue().splitlines()
+    verdicts = [ln for ln in lines if ln.startswith("VERDICT ")]
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert not verdicts
+        return
+    kind = argv[argv.index("--kind") + 1] if "--kind" in argv else "all"
+    assert len(verdicts) == (4 if command == "rates" and kind == "all" else 1)
+    assert len(verdicts) == len(lines)
+    if code == 1:
+        assert not any("status=pass" in ln for ln in verdicts)
+    else:
+        assert all("status=pass" in ln for ln in verdicts)
+

@@ -4,12 +4,14 @@ import pytest
 
 from helpers import (cost, make_scenario, reference_simulate_tensor,
                      sweep_cost)
+from spde_control import forward
 from spde_control.ensemble import PathEnsemble
 from spde_control.forward import (BlowUpError, _second_variation,
                                   simulate_cost, simulate_costs,
                                   simulate_linear, simulate_state,
                                   simulate_tensor, spike_expansion_stats,
-                                  spike_sources, tensor_multiplier)
+                                  spike_sources, spike_tensor_sources,
+                                  tensor_multiplier)
 from spde_control.operators import ImplicitStepper, SpectralBasis
 from spde_control.scenario import (ControlProcess, DeterministicControl,
                                    SpikeControl)
@@ -243,6 +245,37 @@ def test_stacked_tensor_probes_equal_single_probe_sweeps(K, shapes):
                                         phi=lambda k: Phi[k],
                                         psi=lambda k: Psi[k])
         assert np.max(np.abs(single.final - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("K, shapes", [(1, False), (2, True)])
+def test_chunked_tensor_sweep_equals_one_chunk(monkeypatch, K, shapes):
+    # G, the right-hand sides and the solves run per path chunk: a ragged
+    # split (37 paths, the last 4) changes no bit, for (J, 1, ...) probe
+    # sources and for per-path spike sources; the hook sees the whole state
+    scn = make_scenario("logistic-drift", n=8, n_t=32, K=K, shapes=shapes)
+    ens = PathEnsemble.for_scenario(scn, n_paths=300)
+    ubar = scn.base_control
+    xbar = simulate_state(scn, ubar, ens)
+    probes = make_tensor_probes(scn, 2)
+    phis = np.stack([Phi for Phi, _ in probes], axis=1)[:, :, None]
+    psis = np.stack([Psi for _, Psi in probes], axis=1)[:, :, None]
+    ueps = SpikeControl(ubar, [0.8], tau=0.1, eps=0.1)
+    y = simulate_linear(scn, xbar, ubar, ens,
+                        *spike_sources(scn, xbar, ubar, ueps))
+    sources = [(lambda k: phis[k], lambda k: psis[k]),
+               spike_tensor_sources(scn, xbar, ubar, ueps, y)]
+    assert len(forward.path_chunks(300, 8)) == 1
+    whole = [simulate_tensor(scn, xbar, ubar, ens, phi=phi, psi=psi).final
+             for phi, psi in sources]
+    monkeypatch.setattr(forward, "CHUNK_BYTES", 37 * 8 * 8 * 8)
+    assert len(forward.path_chunks(300, 8)) == 9
+    for (phi, psi), ref in zip(sources, whole):
+        shapes_seen = set()
+        out = simulate_tensor(scn, xbar, ubar, ens, phi=phi, psi=psi,
+                              step_hook=lambda k, Y: shapes_seen.add(Y.shape))
+        assert shapes_seen == {ref.shape}
+        assert np.array_equal(out.final, ref)
+    assert np.max(np.abs(whole[1])) > 0.0
 
 
 def test_cost_sweep_returns_the_terminal_state():
