@@ -6,12 +6,10 @@ verification experiments, and a maximum-principle gap scan.
 
 __version__ = "0.1.0"
 
-from .grids import (Field, Grid1D, Grid2D, GridMismatchError, TensorField,
-                    inner1, inner2, norm1, norm2)
+from .grids import Field, Grid1D, Grid2D, TensorField
 from .operators import (EllipticOperator, ImplicitStepper,
-                        MollifierResolutionWarning, SpectralBasis, apply_operator,
-                        delta_star, delta_trace, heat_mollifier, sobolev_norm,
-                        sobolev_norms_batch)
+                        MollifierResolutionWarning, SpectralBasis, add_diagonal,
+                        diagonal, mollified_terminal_batch, sobolev_norms_batch)
 from .scenario import (ConfigError, ControlSet, CoefficientSet,
                        DeterministicControl, NoiseModel,
                        Scenario, ScenarioValidationError, SpikeControl,

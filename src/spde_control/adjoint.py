@@ -28,7 +28,7 @@ from scipy.linalg import qr
 
 from .ensemble import PathEnsemble
 from .forward import Trajectory, _stepper, path_chunks, tensor_multiplier
-from .operators import (EllipticOperator, SpectralBasis,
+from .operators import (EllipticOperator, SpectralBasis, add_diagonal,
                         mollified_terminal_batch, sobolev_norms_batch)
 from .scenario import ControlProcess, Scenario
 
@@ -212,22 +212,21 @@ def _sweep2(scn, xbar, ubar, ens, pair1, etas, method, store_steps, step_hook):
     """Backward sweep of the mollified second-order pair from the terminals
     at the widths etas, every width marching in lockstep over path chunks
     (forward.path_chunks).  Between steps P_{k+1} stays in coefficient form:
-    the fit Qr, b_x, sigma_x and the curvature source at step k + 1, and per
-    width S (keep, n, n) and SQ (keep, K, n, n), the resolved fits of P and
-    P dW.  One pass over the chunks rebuilds every width's P_{k+1} once, only
-    to accumulate step k's fit, the norms, the Cauchy increments between
-    consecutive widths, max_asymmetry and any stored step; the first pass
-    builds the terminals and their distances to the diagonal curvature
-    distribution, the last materializes P_0 of the last width, to which
-    store_steps (n_t names the terminal), step_hook and max_asymmetry
-    apply.  Returns that P_0, the per-width a-priori statistics, squared
+    the fit Qr, b_x, sigma_x and the curvature (whose diagonal embedding is
+    the source) at step k + 1, and per width S (keep, n, n) and SQ (keep, K,
+    n, n), the resolved fits of P and P dW.  One pass over the chunks
+    rebuilds every width's P_{k+1} once, only to accumulate step k's fit,
+    the norms, the Cauchy increments between consecutive widths,
+    max_asymmetry and any stored step; the first pass builds the terminals
+    and their distances to the diagonal curvature distribution, the last
+    materializes P_0 of the last width, to which store_steps (n_t names the
+    terminal), step_hook and max_asymmetry apply.  Returns that P_0, the per-width a-priori statistics, squared
     increments and terminal distances, the stored steps and diagnostics.
     """
     fit, diag = _step_fit(scn, ens.n_paths, method)
     stepper = _stepper(scn)
     basis2 = SpectralBasis.build(scn.grid.square(), scn.op)
     m, n, K, h, dt = ens.n_paths, scn.grid.n, scn.n_modes, scn.grid.h, scn.dt
-    idx = np.arange(n)
     chunks = path_chunks(m, n)
     W, rows = len(etas), chunks[0].stop
     # chunk buffers, written in place by every pass
@@ -251,7 +250,7 @@ def _sweep2(scn, xbar, ubar, ens, pair1, etas, method, store_steps, step_hook):
                     P[i] = mollified_terminal_batch(xT, scn.coeffs.h_xx, scn.grid, eta)
                     sums[2, i] += np.sum(_terminal_gaps(scn, basis2, xT, P[i]))
             else:
-                Qr, bx, sx, source, S, SQ = lin
+                Qr, bx, sx, curv, S, SQ = lin
                 tensor_multiplier(bx[c], sx[c], dt, out=G1[:L])
                 _coupling(sx[c], out=Ck[:L])
                 for i in range(W):
@@ -260,7 +259,7 @@ def _sweep2(scn, xbar, ubar, ens, pair1, etas, method, store_steps, step_hook):
                     np.dot(Qr[c], SQ[i].reshape(len(SQ[i]), -1),
                            out=Qk[:L].reshape(L, -1))
                     r = np.einsum("pkij,pkij->pij", Ck[:L], Qk[:L], out=rate[:L])
-                    r[:, idx, idx] += source[c]
+                    add_diagonal(r, curv[c], h)
                     r *= dt
                     Pi = np.multiply(G1[:L], Mk[:L], out=P[i])
                     Pi += r
@@ -305,7 +304,7 @@ def _sweep2(scn, xbar, ubar, ens, pair1, etas, method, store_steps, step_hook):
             step_hook(k, Qr, S[-1], SQ[-1])
         # the source is the diagonal embedding of the curvature
         lin = (Qr, scn.coeffs.b_x(x, uk), scn.sigma_x_eff(x, uk),
-               _curvature(scn, x, uk, pair1.p[k], pair1.q[k]) / h, S, SQ)
+               _curvature(scn, x, uk, pair1.p[k], pair1.q[k]), S, SQ)
     P0 = march(0, None)[1]
     diag["max_asymmetry"] = max_asym
     return (P0, (acc[0] + acc[1]).tolist(), acc[3, :-1].tolist(), acc[2].tolist(),
@@ -355,17 +354,9 @@ def _terminal_gaps(scn: Scenario, basis2: SpectralBasis, xT: np.ndarray,
                    moll: np.ndarray) -> np.ndarray:
     """Per-path H^-1 distances between mollified terminal conditions moll
     and the diagonal curvature distribution along the terminal states xT."""
-    diff = moll.copy()
-    idx = np.arange(scn.grid.n)
-    diff[..., idx, idx] -= np.asarray(scn.coeffs.h_xx(xT), dtype=float) / scn.grid.h
-    return sobolev_norms_batch(diff, basis2, -1.0)
-
-
-def terminal_distance(scn: Scenario, xbarT: np.ndarray, moll: np.ndarray) -> float:
-    """H^-1 distance between the mollified terminal condition moll and the
-    diagonal curvature distribution, averaged over paths."""
-    basis2 = SpectralBasis.build(scn.grid.square(), scn.op)
-    return float(np.mean(_terminal_gaps(scn, basis2, xbarT, moll)))
+    curv = np.asarray(scn.coeffs.h_xx(xT), dtype=float)
+    return sobolev_norms_batch(add_diagonal(moll.copy(), -curv, scn.grid.h),
+                               basis2, -1.0)
 
 
 def solve_adjoint2_limit(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,

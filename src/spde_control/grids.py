@@ -12,10 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class GridMismatchError(ValueError):
-    """Raised when an operation combines values living on different grids."""
-
-
 @dataclass(frozen=True)
 class Grid1D:
     a: float
@@ -85,46 +81,11 @@ class Field:
 
 @dataclass
 class TensorField:
-    """Real-valued function on the interior nodes of a Grid2D.
-
-    When ``symmetric`` is set, values(i, j) == values(j, i) is asserted
-    within 1e-12 at construction.
-    """
+    """Real-valued function on the interior nodes of a Grid2D."""
 
     grid: Grid2D
     values: np.ndarray
-    symmetric: bool = False
 
     def __post_init__(self):
         n = self.grid.n
         self.values = _check_values(self.values, (n, n))
-        if self.symmetric:
-            asym = np.max(np.abs(self.values - self.values.T))
-            if asym > 1e-12:
-                raise ValueError(f"symmetric flag set but max asymmetry is {asym:.3e}")
-
-    @classmethod
-    def outer(cls, f: Field, g: Field) -> "TensorField":
-        if f.grid != g.grid:
-            raise GridMismatchError("outer product needs matching grids")
-        return cls(Grid2D(f.grid), np.outer(f.values, g.values))
-
-
-# -- discrete inner products / norms ---------------------------------------
-
-def inner1(grid: Grid1D, f: np.ndarray, g: np.ndarray) -> float:
-    """L2(interval) inner product, quadrature weight h."""
-    return float(grid.h * np.sum(np.asarray(f) * np.asarray(g)))
-
-
-def norm1(grid: Grid1D, f: np.ndarray) -> float:
-    return float(np.sqrt(grid.h) * np.linalg.norm(np.asarray(f)))
-
-
-def inner2(grid: Grid2D, F: np.ndarray, G: np.ndarray) -> float:
-    """L2(square) inner product, quadrature weight h^2."""
-    return float(grid.h ** 2 * np.sum(np.asarray(F) * np.asarray(G)))
-
-
-def norm2(grid: Grid2D, F: np.ndarray) -> float:
-    return float(grid.h * np.linalg.norm(np.asarray(F).ravel()))

@@ -1,22 +1,23 @@
-"""Discrete elliptic operators, spectral transforms, Sobolev norms,
-diagonal trace operators and the heat-kernel mollifier.
+"""Discrete elliptic operators, spectral transforms, batched Sobolev
+norms, the diagonal trace pair and the heat-kernel mollifier.
 
 The Dirichlet Laplacian on a uniform grid is the standard (1, -2, 1)/h^2
-tridiagonal stencil; the divergence-form variant uses interface-averaged
+tridiagonal matrix; the divergence-form variant uses interface-averaged
 coefficients.  Sobolev norms of order gamma are defined spectrally through
-the eigenvalues of the *discrete* operator, which makes the adjointness and
-norm identities below exact to machine precision.
+the eigenvalues of the *discrete* operator, and the trace pair (diagonal,
+add_diagonal) is adjoint in the h- and h^2-weighted products, which makes
+the adjointness and norm identities exact to machine precision.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .grids import Field, Grid1D, Grid2D, GridMismatchError, TensorField
+from .grids import Field, Grid1D, Grid2D
 
 
 class MollifierResolutionWarning(UserWarning):
@@ -64,35 +65,6 @@ class EllipticOperator:
             off = ah[1:-1]
         A = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
         return A / h ** 2
-
-
-def apply_operator(op: EllipticOperator, f: Union[Field, TensorField]):
-    """Apply the operator to a field; on the square it acts as the sum of
-    the 1D operator in each variable (the Kronecker-sum structure)."""
-    if isinstance(f, Field):
-        grid = f.grid
-        return Field(grid, _apply_1d(op, grid, f.values))
-    if isinstance(f, TensorField):
-        base = f.grid.base
-        out = _apply_1d(op, base, f.values.T).T + _apply_1d(op, base, f.values)
-        return TensorField(f.grid, out)
-    raise GridMismatchError(f"cannot apply operator to {type(f).__name__}")
-
-
-def _apply_1d(op: EllipticOperator, grid: Grid1D, values: np.ndarray) -> np.ndarray:
-    """Stencil application along the last axis, Dirichlet zero padding."""
-    v = np.asarray(values, dtype=float)
-    h2 = grid.h ** 2
-    if op.kind == "laplacian":
-        out = -2.0 * v
-        out[..., :-1] += v[..., 1:]
-        out[..., 1:] += v[..., :-1]
-        return out / h2
-    ah = op._interface_coeffs(grid)
-    pad = np.zeros(v.shape[:-1] + (1,))
-    vp = np.concatenate([pad, v, pad], axis=-1)
-    flux = ah * np.diff(vp, axis=-1)  # flux at interfaces, (..., n+1)
-    return np.diff(flux, axis=-1) / h2
 
 
 class SpectralBasis:
@@ -145,23 +117,6 @@ class SpectralBasis:
         return np.sqrt(self.grid.h) * (np.asarray(values) @ V)
 
 
-def sobolev_norm(f: Union[Field, TensorField, np.ndarray], basis: SpectralBasis,
-                 gamma: float) -> float:
-    """Spectral Sobolev norm of order gamma in [-2, 1].
-
-    gamma = 0 is the L2 norm; positive orders weight by eigenvalues of the
-    discrete operator, negative orders by their inverses.
-    """
-    if not -2.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [-2, 1]")
-    values = f.values if isinstance(f, (Field, TensorField)) else np.asarray(f)
-    if isinstance(f, Field) and f.grid != (basis.grid.base if basis.is_2d else basis.grid):
-        raise GridMismatchError("field and basis grids differ")
-    c = basis.coeffs(values)
-    lam = basis.pair_eigenvalues() if basis.is_2d else basis.eigenvalues
-    return float(np.sqrt(np.sum(lam ** gamma * c ** 2)))
-
-
 def sobolev_norms_batch(values: np.ndarray, basis: SpectralBasis, gamma):
     """Per-sample Sobolev norms for a batch of value arrays.
 
@@ -178,45 +133,38 @@ def sobolev_norms_batch(values: np.ndarray, basis: SpectralBasis, gamma):
 
 # -- diagonal trace and its discrete adjoint --------------------------------
 
-def delta_trace(w: TensorField) -> Field:
-    """Restrict a tensor field to the diagonal: result(i) = w(i, i)."""
-    return Field(w.grid.base, np.diagonal(w.values).copy())
+def diagonal(W: np.ndarray) -> np.ndarray:
+    """The diagonal trace W(i, i), batched over leading axes (a view)."""
+    return np.diagonal(W, 0, -2, -1)
 
 
-def delta_star(f: Field) -> TensorField:
-    """Discrete adjoint of the diagonal trace.
+def add_diagonal(W: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
+    """Add the discrete adjoint of the trace in place and return W.
 
-    Mass f(i)/h on the diagonal makes <delta_star f, w>_{L2(square)} equal
-    <f, delta_trace w>_{L2(interval)} exactly in the discrete products.
+    Mass f(i)/h on the diagonal makes h^2 sum(add_diagonal(0, f, h) W)
+    equal h sum(f diagonal(W)) exactly in the discrete products.
     """
-    n = f.grid.n
-    out = np.zeros((n, n))
-    np.fill_diagonal(out, f.values / f.grid.h)
-    return TensorField(Grid2D(f.grid), out, symmetric=True)
-
-
-def heat_mollifier(xbarT: Field, hxx: Callable, eta: float) -> TensorField:
-    """Heat-kernel smoothing of the diagonal curvature distribution.
-
-    Entry (i, j) is the symmetrized curvature along the terminal state,
-    0.5 (hxx(x(l_i)) + hxx(x(l_j))), times the Gaussian kernel of width
-    eta evaluated at l_i - l_j.  Widths below (2h)^2 trigger a warning:
-    such a Gaussian cannot be resolved on the grid.
-    """
-    grid = xbarT.grid
-    values = mollified_terminal_batch(xbarT.values, hxx, grid, eta)
-    if eta < (2.0 * grid.h) ** 2:
-        warnings.warn(
-            f"mollifier width eta={eta:.3e} below grid resolution (2h)^2="
-            f"{(2 * grid.h) ** 2:.3e}", MollifierResolutionWarning)
-    return TensorField(Grid2D(grid), values, symmetric=True)
+    i = np.arange(W.shape[-1])
+    W[..., i, i] += f / h
+    return W
 
 
 def mollified_terminal_batch(xT: np.ndarray, hxx: Callable, grid: Grid1D,
                              eta: float) -> np.ndarray:
-    """Batched heat_mollifier for per-path terminal states, shape (M, n, n)."""
+    """Heat-kernel smoothing of the diagonal curvature distribution along
+    the terminal states xT (..., n), shape (..., n, n).
+
+    Entry (i, j) is the symmetrized curvature 0.5 (hxx(x(l_i)) +
+    hxx(x(l_j))) times the Gaussian kernel of width eta evaluated at
+    l_i - l_j.  Widths below (2h)^2 trigger a warning: such a Gaussian
+    cannot be resolved on the grid.
+    """
     if eta <= 0.0:
         raise ValueError("mollifier width eta must be positive")
+    if eta < (2.0 * grid.h) ** 2:
+        warnings.warn(
+            f"mollifier width eta={eta:.3e} below grid resolution (2h)^2="
+            f"{(2 * grid.h) ** 2:.3e}", MollifierResolutionWarning)
     lam = grid.nodes
     curv = np.asarray(hxx(xT), dtype=float)
     sym = 0.5 * (curv[..., :, None] + curv[..., None, :])

@@ -19,15 +19,10 @@ from .ensemble import PathEnsemble
 from .forward import (BlowUpError, simulate_costs, simulate_linear,
                       simulate_state, simulate_tensor, spike_expansion_stats,
                       spike_sources, spike_tensor_sources)
-from .grids import Field
-from .operators import heat_mollifier
+from .operators import (SpectralBasis, add_diagonal, diagonal,
+                        mollified_terminal_batch)
 from .scenario import (ControlProcess, DeterministicControl, Scenario,
                        SpikeControl)
-
-
-def _sine_matrix(n: int) -> np.ndarray:
-    i = np.arange(1, n + 1)
-    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(i, i) / (n + 1))
 
 
 def make_random_probes(scn: Scenario, n_probes: int, seed: int = 0):
@@ -40,7 +35,7 @@ def make_random_probes(scn: Scenario, n_probes: int, seed: int = 0):
     """
     gen = np.random.Generator(np.random.Philox(key=seed))
     n, K = scn.grid.n, scn.n_modes
-    modes = _sine_matrix(n)[:, :min(4, n)]
+    modes = SpectralBasis.build(scn.grid).vectors[:, :min(4, n)]
     t = scn.times[:-1] / scn.T
     probes = []
     for _ in range(n_probes):
@@ -125,7 +120,7 @@ def make_tensor_probes(scn: Scenario, n_probes: int, seed: int = 1):
     sine modes."""
     gen = np.random.Generator(np.random.Philox(key=seed))
     n, K = scn.grid.n, scn.n_modes
-    modes = _sine_matrix(n)[:, :min(3, n)]
+    modes = SpectralBasis.build(scn.grid).vectors[:, :min(3, n)]
     t = scn.times[:-1] / scn.T
     probes = []
     for _ in range(n_probes):
@@ -172,10 +167,10 @@ def check_duality2(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
                                   step_hook=backward_hook).stored_steps[scn.n_t]
 
     def forward_hook(k, Y):
-        # <delta_star(curv), Y> collapses to the diagonal of Y
+        # <add_diagonal(0, curv, h), Y>_2 collapses to <curv, diagonal(Y)>_1
         x = xbar[k]
         curv = _curvature(scn, x, ubar.evaluate(k, scn, x), pair1.p[k], pair1.q[k])
-        lhs_acc[:] += dt * h * np.sum(curv * np.diagonal(Y, 0, -2, -1), axis=-1)
+        lhs_acc[:] += dt * h * np.sum(curv * diagonal(Y), axis=-1)
 
     traj = simulate_tensor(scn, xbar, ubar, ens, phi=lambda k: phis[k],
                            psi=lambda k: psis[k], step_hook=forward_hook)
@@ -479,11 +474,11 @@ def zero_noise_oracle(scn: Scenario, ubar: ControlProcess, eta: float = None):
 
     # backward mollified second-order equation (q == 0 in the zero-noise
     # case, so the <sigma_xx, q> part of the source is absent)
-    P = heat_mollifier(Field(scn.grid, x_fine[-1]), scn.coeffs.h_xx,
-                       eta).values.copy()
+    if not np.all(np.isfinite(x_fine[-1])):
+        raise ValueError("fine-step forward state blew up: non-finite terminal")
+    P = mollified_terminal_batch(x_fine[-1], scn.coeffs.h_xx, scn.grid, eta)
     P_coarse = np.empty((n_t + 1, n, n))
     P_coarse[n_t] = P
-    idx = np.arange(n)
     h = scn.grid.h
     for k in range(n_t - 1, -1, -1):
         for s in range(n_sub - 1, -1, -1):
@@ -494,8 +489,7 @@ def zero_noise_oracle(scn: Scenario, ubar: ControlProcess, eta: float = None):
             p_here = (1.0 - w) * p_coarse[k] + w * p_coarse[k + 1]
             bx = scn.coeffs.b_x(x, u_at[k])
             curv = scn.coeffs.l_xx(x, u_at[k]) + scn.coeffs.b_xx(x, u_at[k]) * p_here
-            S = np.zeros((n, n))
-            S[idx, idx] = curv / h
+            S = add_diagonal(np.zeros((n, n)), curv, h)
             P = P + dtf * (A @ P + P @ A.T + (bx[:, None] + bx[None, :]) * P + S)
         P_coarse[k] = P
     out["P"] = P_coarse

@@ -4,7 +4,8 @@ import numpy as np
 
 from spde_control.forward import _finalize_cost, simulate_state
 from spde_control.grids import Field, Grid1D, Grid2D, TensorField
-from spde_control.operators import EllipticOperator
+from spde_control.operators import (EllipticOperator, SpectralBasis,
+                                    sobolev_norms_batch)
 from spde_control.scenario import (PRESETS, ControlSet, DeterministicControl,
                                    NoiseModel, Scenario, SpikeControl,
                                    make_coefficients, sine_mode_shapes)
@@ -67,6 +68,53 @@ def sweep_cost(scn, u, ens):
 
     traj = simulate_state(scn, u, ens, store=False, step_hook=hook)
     return _finalize_cost(scn, acc, traj.final)
+
+
+# -- independent references for the discrete identities ----------------------
+
+def inner1(grid, f, g):
+    """L2(interval) inner product, quadrature weight h."""
+    return float(grid.h * np.sum(np.asarray(f) * np.asarray(g)))
+
+
+def inner2(grid, F, G):
+    """L2(square) inner product, quadrature weight h^2."""
+    return float(grid.h ** 2 * np.sum(np.asarray(F) * np.asarray(G)))
+
+
+def apply_operator(op, f):
+    """Apply the operator to a field by its stencil; on the square it acts
+    as the sum of the 1D operator in each variable (the Kronecker sum)."""
+    if isinstance(f, Field):
+        return Field(f.grid, _apply_1d(op, f.grid, f.values))
+    base = f.grid.base
+    out = _apply_1d(op, base, f.values.T).T + _apply_1d(op, base, f.values)
+    return TensorField(f.grid, out)
+
+
+def _apply_1d(op, grid, values):
+    """Stencil application along the last axis, Dirichlet zero padding."""
+    v = np.asarray(values, dtype=float)
+    h2 = grid.h ** 2
+    if op.kind == "laplacian":
+        out = -2.0 * v
+        out[..., :-1] += v[..., 1:]
+        out[..., 1:] += v[..., :-1]
+        return out / h2
+    ah = op._interface_coeffs(grid)
+    pad = np.zeros(v.shape[:-1] + (1,))
+    vp = np.concatenate([pad, v, pad], axis=-1)
+    flux = ah * np.diff(vp, axis=-1)  # flux at interfaces, (..., n+1)
+    return np.diff(flux, axis=-1) / h2
+
+
+def terminal_distance(scn, xT, moll):
+    """Path-mean H^-1 distance between mollified terminals moll (M, n, n)
+    and the diagonal curvature distribution, embedded through np.diag."""
+    curv = np.asarray(scn.coeffs.h_xx(xT), dtype=float) / scn.grid.h
+    diff = moll - np.stack([np.diag(c) for c in curv])
+    basis2 = SpectralBasis.build(scn.grid.square(), scn.op)
+    return float(np.mean(sobolev_norms_batch(diff, basis2, -1.0)))
 
 
 def synthesize(basis, coeffs):

@@ -16,10 +16,10 @@ from helpers import make_scenario
 from spde_control.adjoint import solve_adjoint1, solve_adjoint2_limit
 from spde_control.ensemble import PathEnsemble
 from spde_control.forward import simulate_cost, simulate_state
-from spde_control.grids import Field, Grid1D, TensorField, inner1, inner2
+from spde_control.grids import Grid1D
 from spde_control.operators import (EllipticOperator, SpectralBasis,
-                                    apply_operator, delta_star, delta_trace,
-                                    sobolev_norm)
+                                    add_diagonal, diagonal,
+                                    sobolev_norms_batch)
 from spde_control.scenario import DeterministicControl, SpikeControl
 from spde_control.verify import (DUALITY_TOL, RATE_THRESHOLDS, SMP_TOL,
                                  block_control_candidates, brute_force_search,
@@ -44,28 +44,34 @@ def verdict(name: str, ok: bool, statistic: float, tolerance: float):
 
 
 def test_01_discrete_identities():
-    """Trace adjointness and the negative-norm identity on random inputs."""
+    """Adjointness of the solvers' trace pair (diagonal, add_diagonal) and
+    the negative-norm identity <A P, P>_{-1} = -|P|_0^2 on random inputs,
+    with the square operator A P + P A^T built from op.matrix and both
+    sides read through the solvers' SpectralBasis.coeffs and
+    sobolev_norms_batch."""
     t0 = time.time()
     gen = np.random.Generator(np.random.Philox(key=2024))
     worst = 0.0
     for trial in range(200):
         n = int(gen.integers(4, 33))
         grid = Grid1D(0.0, float(gen.uniform(0.5, 3.0)), n)
+        h = grid.h
         op = EllipticOperator()
         f = gen.normal(size=n)
         W = gen.normal(size=(n, n))
-        lhs = inner1(grid, delta_trace(TensorField(grid.square(), W)).values, f)
-        rhs = inner2(grid.square(), delta_star(Field(grid, f)).values, W)
+        lhs = h * np.sum(diagonal(W) * f)
+        rhs = h ** 2 * np.sum(add_diagonal(np.zeros((n, n)), f, h) * W)
         scale = max(abs(lhs), abs(rhs), 1.0)
         worst = max(worst, abs(lhs - rhs) / scale)
 
         basis2 = SpectralBasis.build(grid.square(), op)
         P = gen.normal(size=(n, n))
-        AP = apply_operator(op, TensorField(grid.square(), P)).values
+        A = op.matrix(grid)
+        AP = A @ P + P @ A.T
         lam = basis2.pair_eigenvalues()
         pairing = float(np.sum(lam ** -1.0 * basis2.coeffs(AP)
                                * basis2.coeffs(P)))
-        nrm = sobolev_norm(P, basis2, 0.0) ** 2
+        nrm = float(sobolev_norms_batch(P, basis2, 0.0)) ** 2
         worst = max(worst, abs(pairing + nrm) / max(nrm, 1.0))
     elapsed = time.time() - t0
     verdict("discrete-identities", worst <= 1e-10 and elapsed < 10.0,

@@ -1,18 +1,21 @@
 """Backward solvers: regression machinery, both adjoint pairs, the
 vanishing-mollifier ladder, and oracle cross-checks."""
+import warnings
+
 import numpy as np
 import pytest
 
-from helpers import lockstep_sweep2, make_scenario, qcouple, reference_sweep2
+from helpers import (lockstep_sweep2, make_scenario, qcouple, reference_sweep2,
+                     terminal_distance)
 from spde_control import adjoint, forward
 from spde_control.adjoint import (RegressionBasis, RegressionError, _coupling,
                                   _project, _smoothed, solve_adjoint1,
-                                  solve_adjoint2_limit, solve_adjoint2_mollified,
-                                  terminal_distance)
+                                  solve_adjoint2_limit, solve_adjoint2_mollified)
 from spde_control.ensemble import PathEnsemble
 from spde_control.forward import simulate_state
 from spde_control.grids import Field, Grid1D
 from spde_control.operators import (EllipticOperator, ImplicitStepper,
+                                    MollifierResolutionWarning,
                                     mollified_terminal_batch)
 from spde_control.verify import affine_ansatz_oracle, zero_noise_oracle
 
@@ -181,6 +184,19 @@ def test_second_order_solution_is_symmetric():
     assert set(pair2.stored_steps) == {0, 16}
     assert pair2.stored_steps[0].shape == (200, 8, 8)
     assert np.array_equal(pair2.stored_steps[0], pair2.P0)
+
+
+def test_second_order_sweep_warns_below_grid_resolution():
+    # the resolution warning lives in the mollifier every solver builds its
+    # terminal with, so the sweeps warn too, not just the oracle
+    scn = make_scenario("bilinear", n=8, n_t=8)
+    ens, xbar, pair1 = _solved(scn, 200)
+    h2 = scn.grid.h ** 2
+    with pytest.warns(MollifierResolutionWarning, match="below grid resolution"):
+        solve_adjoint2_mollified(scn, xbar, scn.base_control, ens, pair1, h2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MollifierResolutionWarning)
+        solve_adjoint2_mollified(scn, xbar, scn.base_control, ens, pair1, 4 * h2)
 
 
 def test_second_order_matches_zero_noise_oracle():

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import synthesize
-from spde_control.grids import Field, Grid1D, TensorField, inner1, inner2
+from helpers import apply_operator, inner1, inner2, synthesize
+from spde_control.grids import Field, Grid1D, TensorField
 from spde_control.operators import (EllipticOperator, ImplicitStepper,
                                     MollifierResolutionWarning, SpectralBasis,
-                                    apply_operator, delta_star, delta_trace,
-                                    heat_mollifier, sobolev_norm,
+                                    add_diagonal, diagonal,
+                                    mollified_terminal_batch,
                                     sobolev_norms_batch)
 
 
@@ -92,30 +92,25 @@ def test_parseval_l2_norm():
     grid = Grid1D(0.0, 1.3, 12)
     basis = SpectralBasis.build(grid)
     f = _rng(9).normal(size=12)
-    assert sobolev_norm(f, basis, 0.0) == pytest.approx(
+    assert sobolev_norms_batch(f, basis, 0.0) == pytest.approx(
         np.sqrt(inner1(grid, f, f)), rel=1e-13)
     basis2 = SpectralBasis.build(grid.square())
     F = _rng(10).normal(size=(12, 12))
-    assert sobolev_norm(F, basis2, 0.0) == pytest.approx(
+    assert sobolev_norms_batch(F, basis2, 0.0) == pytest.approx(
         np.sqrt(inner2(grid.square(), F, F)), rel=1e-13)
 
 
-def test_sobolev_order_bounds():
-    grid = Grid1D(0.0, 1.0, 6)
-    basis = SpectralBasis.build(grid)
-    with pytest.raises(ValueError):
-        sobolev_norm(np.ones(6), basis, 1.5)
-    with pytest.raises(ValueError):
-        sobolev_norm(np.ones(6), basis, -2.5)
-
-
 def test_batch_norms_match_scalar():
+    """Each batched norm is the scalar eigen-sum sqrt(sum_j l_j^g c_j^2),
+    with c_j = sqrt(h) <v, V_j> taken one mode at a time."""
     grid = Grid1D(0.0, 1.0, 9)
     basis = SpectralBasis.build(grid)
     vs = _rng(11).normal(size=(5, 9))
     batch = sobolev_norms_batch(vs[:, None, :], basis, 0.5).ravel()
     for v, nb in zip(vs, batch):
-        assert sobolev_norm(v, basis, 0.5) == pytest.approx(nb, rel=1e-13)
+        eig_sum = sum(lam ** 0.5 * (np.sqrt(grid.h) * np.dot(v, vec)) ** 2
+                      for lam, vec in zip(basis.eigenvalues, basis.vectors.T))
+        assert np.sqrt(eig_sum) == pytest.approx(nb, rel=1e-13)
 
 
 @settings(deadline=None, max_examples=30)
@@ -134,14 +129,13 @@ def test_operator_self_adjointness(n, key):
 @settings(deadline=None, max_examples=30)
 @given(st.integers(2, 20), st.integers(0, 1000))
 def test_trace_adjointness(n, key):
-    """<delta w, f>_1 = <delta* f, w>_2 exactly, against a double loop."""
+    """<diagonal W, f>_1 = <add_diagonal(0, f, h), W>_2, against a loop."""
     grid = Grid1D(0.0, 1.0, n)
     gen = _rng(key)
     f = gen.normal(size=n)
     W = gen.normal(size=(n, n))
-    w = TensorField(grid.square(), W)
-    lhs = inner1(grid, delta_trace(w).values, f)
-    rhs = inner2(grid.square(), delta_star(Field(grid, f)).values, W)
+    lhs = inner1(grid, diagonal(W), f)
+    rhs = inner2(grid.square(), add_diagonal(np.zeros((n, n)), f, grid.h), W)
     loop = sum(grid.h * W[i, i] * f[i] for i in range(n))
     assert lhs == pytest.approx(loop, rel=1e-12, abs=1e-12)
     assert rhs == pytest.approx(loop, rel=1e-12, abs=1e-12)
@@ -156,35 +150,35 @@ def test_negative_norm_identity():
     AP = apply_operator(op, TensorField(grid.square(), P)).values
     lam = basis2.pair_eigenvalues()
     pairing = np.sum(lam ** -1.0 * basis2.coeffs(AP) * basis2.coeffs(P))
-    assert pairing == pytest.approx(-sobolev_norm(P, basis2, 0.0) ** 2,
-                                    rel=1e-10)
+    assert pairing == pytest.approx(
+        -sobolev_norms_batch(P, basis2, 0.0) ** 2, rel=1e-10)
 
 
 def test_mollifier_basic_properties():
     grid = Grid1D(0.0, 1.0, 16)
-    xT = Field(grid, np.sin(np.pi * grid.nodes))
+    xT = np.sin(np.pi * grid.nodes)
     hxx = lambda x: np.ones_like(x)
-    out = heat_mollifier(xT, hxx, 4.0 * grid.h ** 2)
-    assert out.symmetric
-    assert np.all(np.diag(out.values) > 0)
+    out = mollified_terminal_batch(xT, hxx, grid, 4.0 * grid.h ** 2)
+    assert np.array_equal(out, out.T)
+    assert np.all(np.diag(out) > 0)
     with pytest.raises(ValueError):
-        heat_mollifier(xT, hxx, 0.0)
+        mollified_terminal_batch(xT, hxx, grid, 0.0)
     with pytest.warns(MollifierResolutionWarning):
-        heat_mollifier(xT, hxx, 0.5 * grid.h ** 2)
+        mollified_terminal_batch(xT, hxx, grid, 0.5 * grid.h ** 2)
 
 
 def test_mollifier_mass_approximates_diagonal_pairing():
     # pairing the mollified kernel with a smooth symmetric test function
     # approaches the diagonal pairing as the width shrinks
     grid = Grid1D(0.0, 1.0, 64)
-    xT = Field(grid, np.sin(np.pi * grid.nodes))
+    xT = np.sin(np.pi * grid.nodes)
     hxx = lambda x: 1.0 + 0.5 * x
     W = np.sin(np.pi * grid.nodes)[:, None] * np.sin(np.pi * grid.nodes)[None, :]
-    exact = inner1(grid, hxx(xT.values), np.diag(W))
+    exact = inner1(grid, hxx(xT), np.diag(W))
     errs = []
     for c in (32.0, 8.0):
-        moll = heat_mollifier(xT, hxx, c * grid.h ** 2)
-        errs.append(abs(inner2(grid.square(), moll.values, W) - exact))
+        moll = mollified_terminal_batch(xT, hxx, grid, c * grid.h ** 2)
+        errs.append(abs(inner2(grid.square(), moll, W) - exact))
     assert errs[1] < errs[0]
     assert errs[1] < 0.02 * abs(exact)
 

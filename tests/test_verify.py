@@ -197,6 +197,18 @@ def test_blow_up_in_a_shared_prefix_excludes_every_candidate_below_it():
     assert rep.best == 0
 
 
+def test_zero_noise_oracle_refuses_a_blown_up_forward():
+    # the explicit fine-step forward overflows from a large negative start
+    # under the logistic drift; the oracle must refuse, not build P from it
+    scn = make_scenario("logistic-drift", a=0.0, b=2.0, n=12, n_t=64, T=0.25,
+                        noise_amp=0.0, shapes=False, K=1, x0_amp=-50)
+    ens = PathEnsemble.for_scenario(scn, n_paths=4)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError):
+            verify.oracle_zero_noise(scn, scn.base_control, ens,
+                                     4.0 * scn.grid.h ** 2)
+
+
 def test_brute_force_refuses_when_every_candidate_blows_up():
     scn = make_scenario("bilinear", n=8, n_t=16,
                         control_points=((1e300,), (-1e300,)))
