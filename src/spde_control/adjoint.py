@@ -135,11 +135,12 @@ def _curvature(scn: Scenario, x: np.ndarray, uk, p: np.ndarray,
             + np.einsum("pnk,pnk->pn", scn.sigma_xx_eff(x, uk), q))
 
 
-def _coupling(sx: np.ndarray, out=None) -> np.ndarray:
-    """Mode-major (M, K, n, n) coupling sx_k (+) sx_k of the second-order
-    martingale term sum_k (sx_k (+) sx_k) Q_k, from sx (M, n, K)."""
-    s = np.moveaxis(sx, 2, 1)
-    return np.add(s[:, :, :, None], s[:, :, None, :], out=out)
+def _lift_coefficients(E, S, SQ) -> np.ndarray:
+    """[S | A | B] (keep, 3, n, n), lifted by one GEMM per chunk: A_ij =
+    sum_k E_ik SQ_k,ij and B_ij = sum_k E_jk SQ_k,ij, so the coupling
+    sum_k (sigma_x,i E_ik + sigma_x,j E_jk) Q_k,ij is sigma_x,i A + sigma_x,j B."""
+    return np.stack([S, np.einsum("ik,qkij->qij", E, SQ),
+                     np.einsum("jk,qkij->qij", E, SQ)], axis=1)
 
 
 @dataclass
@@ -212,15 +213,16 @@ def _sweep2(scn, xbar, ubar, ens, pair1, etas, method, store_steps, step_hook):
     """Backward sweep of the mollified second-order pair from the terminals
     at the widths etas, every width marching in lockstep over path chunks
     (forward.path_chunks).  Between steps P_{k+1} stays in coefficient form:
-    the fit Qr, b_x, sigma_x and the curvature (whose diagonal embedding is
-    the source) at step k + 1, and per width S (keep, n, n) and SQ (keep, K,
-    n, n), the resolved fits of P and P dW.  One pass over the chunks
-    rebuilds every width's P_{k+1} once, only to accumulate step k's fit,
-    the norms, the Cauchy increments between consecutive widths,
-    max_asymmetry and any stored step; the first pass builds the terminals
-    and their distances to the diagonal curvature distribution, the last
-    materializes P_0 of the last width, to which store_steps (n_t names the
-    terminal), step_hook and max_asymmetry apply.  Returns that P_0, the per-width a-priori statistics, squared
+    the fit Qr, the per-node b_x, sigma_x and curvature (whose diagonal
+    embedding is the source) at step k + 1, and per width [S | A | B]
+    (_lift_coefficients) from the resolved fits S of P and SQ of P dW.  One
+    pass over the chunks rebuilds every width's P_{k+1} once, only to
+    accumulate step k's fit, the norms, the Cauchy increments between
+    consecutive widths, max_asymmetry and any stored step; the first pass
+    builds the terminals and their distances to the diagonal curvature
+    distribution, the last materializes P_0 of the last width, to which
+    store_steps (n_t names the terminal), step_hook and max_asymmetry
+    apply.  Returns that P_0, the per-width a-priori statistics, squared
     increments and terminal distances, the stored steps and diagnostics.
     """
     fit, diag = _step_fit(scn, ens.n_paths, method)
@@ -230,8 +232,8 @@ def _sweep2(scn, xbar, ubar, ens, pair1, etas, method, store_steps, step_hook):
     chunks = path_chunks(m, n)
     W, rows = len(etas), chunks[0].stop
     # chunk buffers, written in place by every pass
-    Pc, (Qk, Ck) = np.empty((W, rows, n, n)), np.empty((2, rows, K, n, n))
-    Mk, rate, G1, scratch = np.empty((4, rows, n, n))
+    Pc, lift = np.empty((W, rows, n, n)), np.empty((rows, 3, n, n))
+    rate, G1, scratch = np.empty((3, rows, n, n))
     acc = np.zeros((4, W))  # sup H^-1^2, sum dt L2^2, distance, Cauchy^2
     stored, max_asym, lin = {}, 0.0, None  # lin: P_{k+1}, None: the terminal
 
@@ -250,18 +252,18 @@ def _sweep2(scn, xbar, ubar, ens, pair1, etas, method, store_steps, step_hook):
                     P[i] = mollified_terminal_batch(xT, scn.coeffs.h_xx, scn.grid, eta)
                     sums[2, i] += np.sum(_terminal_gaps(scn, basis2, xT, P[i]))
             else:
-                Qr, bx, sx, curv, S, SQ = lin
-                tensor_multiplier(bx[c], sx[c], dt, out=G1[:L])
-                _coupling(sx[c], out=Ck[:L])
+                Qr, bx, sx, curv, SAB = lin
+                tensor_multiplier(bx[c], sx[c], scn.noise_cov, dt, out=G1[:L])
                 for i in range(W):
                     # resolvent first (exact discrete adjoint), then the explicit terms
-                    np.dot(Qr[c], S[i].reshape(len(S[i]), -1), out=Mk[:L].reshape(L, -1))
-                    np.dot(Qr[c], SQ[i].reshape(len(SQ[i]), -1),
-                           out=Qk[:L].reshape(L, -1))
-                    r = np.einsum("pkij,pkij->pij", Ck[:L], Qk[:L], out=rate[:L])
+                    np.dot(Qr[c], SAB[i].reshape(len(SAB[i]), -1),
+                           out=lift[:L].reshape(L, -1))
+                    Mk, A, B = lift[:L].swapaxes(0, 1)
+                    r = np.multiply(sx[c][:, :, None], A, out=rate[:L])
+                    r += np.multiply(B, sx[c][:, None, :], out=B)
                     add_diagonal(r, curv[c], h)
                     r *= dt
-                    Pi = np.multiply(G1[:L], Mk[:L], out=P[i])
+                    Pi = np.multiply(G1[:L], Mk, out=P[i])
                     Pi += r
                 for i in range(W - 1):
                     sums[3, i] += np.sum(h ** 2 * np.sum((P[i] - P[i + 1]) ** 2,
@@ -295,16 +297,17 @@ def _sweep2(scn, xbar, ubar, ens, pair1, etas, method, store_steps, step_hook):
         # [Qr | Qr dW_1 | ... | Qr dW_K]: one GEMM per width fits every target
         design = (np.column_stack([np.ones(m), ens.dW[:, k]])[:, :, None]
                   * Qr[:, None, :]).reshape(m, -1)
-        S, SQ = [], []
+        SAB = []
         for coef in march(k + 1, design)[0]:
             coef = coef.reshape(K + 1, -1, n, n)
-            S.append(stepper.solve2(coef[0]))
-            SQ.append(stepper.solve2(coef[1:].swapaxes(0, 1) / dt))
+            S = stepper.solve2(coef[0])
+            SQ = stepper.solve2(coef[1:].swapaxes(0, 1) / dt)
+            SAB.append(_lift_coefficients(scn.profile, S, SQ))
         if step_hook is not None:
-            step_hook(k, Qr, S[-1], SQ[-1])
+            step_hook(k, Qr, S, SQ)
         # the source is the diagonal embedding of the curvature
-        lin = (Qr, scn.coeffs.b_x(x, uk), scn.sigma_x_eff(x, uk),
-               _curvature(scn, x, uk, pair1.p[k], pair1.q[k]), S, SQ)
+        lin = (Qr, scn.coeffs.b_x(x, uk), scn.coeffs.sigma_x(x, uk),
+               _curvature(scn, x, uk, pair1.p[k], pair1.q[k]), SAB)
     P0 = march(0, None)[1]
     diag["max_asymmetry"] = max_asym
     return (P0, (acc[0] + acc[1]).tolist(), acc[3, :-1].tolist(), acc[2].tolist(),

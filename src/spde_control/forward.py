@@ -4,9 +4,10 @@ and the product process on the square.
 
 Time stepping is semi-implicit Euler-Maruyama, implicit only in the linear
 elliptic part: (I - dt A) x_{k+1} = x_k + dt drift(x_k) + diffusion(x_k) dW_k.
-Both sourced linear kernels (simulate_linear, simulate_tensor) linearize
-along the reference once per step, take source providers k -> arrays and
-march probes stacked on a leading axis in one step-major sweep.
+Each step draws one noise field xi = dW_k E^T, and both sourced linear
+kernels (simulate_linear, simulate_tensor) fold the linearization into one
+per-node multiplier per step, take source providers k -> arrays and march
+probes stacked on a leading axis in one step-major sweep.
 simulate_costs walks many controls as a trie, simulating a shared prefix once.
 All simulations of one experiment share a PathEnsemble (common random
 numbers) and are vectorized over paths; reductions run in fixed order so
@@ -55,33 +56,22 @@ def _check_finite(x: np.ndarray, step: int):
         raise BlowUpError(step)
 
 
-def _node_noise(scn: Scenario, sig: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """sum_k (sig E_k) dW_k for a per-node diffusion sig (M, n) and the
-    noise profile E (n, K), without the (M, n, K) per-mode array."""
-    noise = (sig * scn.profile[:, 0]) * dw[:, 0, None]
-    for mode in range(1, scn.n_modes):
-        noise += (sig * scn.profile[:, mode]) * dw[:, mode, None]
-    return noise
-
-
 def _step1(stepper: ImplicitStepper, dt: float, y: np.ndarray, drift,
-           noise: np.ndarray) -> np.ndarray:
-    """One semi-implicit step on the interval from the explicit parts."""
+           noise) -> np.ndarray:
+    """One semi-implicit step on the interval from the explicit parts; a
+    linearized equation passes g y, g = 1 + dt b_x + sigma_x xi, as y."""
     return stepper.solve1(y + dt * drift + noise)
 
 
-def _step_linear(stepper: ImplicitStepper, dt: float, y: np.ndarray, terms,
-                 dwk: np.ndarray) -> np.ndarray:
-    """One step of the sourced linear equation with terms (a, s, phi, psi):
-    drift a y + phi, per-mode diffusion s y + psi, summed mode by mode as
-    in _node_noise.  Leading axes of y beyond the paths (e.g. probes)
-    carry through; a scalar psi is the source of every mode."""
-    a, s, phi, psi = terms
-    psi = np.full(dwk.shape[1], psi) if np.ndim(psi) == 0 else psi
-    noise = (s[..., 0] * y + psi[..., 0]) * dwk[:, 0, None]
-    for mode in range(1, dwk.shape[1]):
-        noise += (s[..., mode] * y + psi[..., mode]) * dwk[:, mode, None]
-    return _step1(stepper, dt, y, a * y + phi, noise)
+def _noise(psi: np.ndarray, dw: np.ndarray, ndim: int) -> np.ndarray:
+    """Noise term of a source psi of ndim axes per path, on dw (L, K): psi
+    itself (a noise field, e.g. omega xi), or sum_k psi_k dW_k by one GEMM
+    for a deterministic per-mode psi (..., 1, ..., K), probe axes leading."""
+    if np.ndim(psi) == ndim:
+        return psi
+    out = (dw @ psi.reshape(-1, dw.shape[1]).T).reshape(
+        len(dw), *psi.shape[:-ndim - 1], *psi.shape[-ndim:-1])
+    return np.moveaxis(out, 0, -ndim)
 
 
 def _source(provider: Optional[Callable], k: int):
@@ -108,7 +98,7 @@ def simulate_state(scn: Scenario, u: ControlProcess, ens: PathEnsemble,
         if step_hook is not None:
             step_hook(k, x, uk)
         x = _step1(stepper, scn.dt, x, scn.coeffs.b(x, uk),
-                   _node_noise(scn, scn.coeffs.sigma(x, uk), ens.dW[:, k]))
+                   scn.coeffs.sigma(x, uk) * scn.noise_field(ens.dW[:, k]))
         _check_finite(x, k + 1)
         if store:
             values[k + 1] = x
@@ -119,12 +109,13 @@ def simulate_linear(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
                     ens: PathEnsemble, phi: Callable = None, psi: Callable = None,
                     store: bool = True, step_hook: Callable = None) -> Trajectory:
     """Simulate the linearization along (xbar, ubar) with zero initial
-    condition; b_x and sigma_x_eff are evaluated once per step.
+    condition: y <- solve1(g y + dt phi + noise), g = 1 + dt b_x + sigma_x xi.
 
-    phi/psi are per-step source providers k -> arrays broadcasting to
-    (M, n) and (M, n, K); None, or a None return, means zero.  Sources with
-    a leading axis, e.g. (J, 1, n) probes, march J equations in one sweep:
-    y is then (J, M, n) from the first step on.
+    phi/psi are per-step source providers k -> arrays; None, or a None
+    return, means zero.  phi broadcasts to (M, n); psi is a noise field
+    (M, n) or per mode, (1, n, K) (see _noise).  Sources with a leading
+    axis, e.g. (J, 1, n) and (J, 1, n, K) probes, march J equations in one
+    sweep: y is then (J, M, n) from the first step on.
     """
     stepper = _stepper(scn)
     y = np.zeros((ens.n_paths, scn.grid.n))
@@ -132,13 +123,13 @@ def simulate_linear(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
     for k in range(scn.n_t):
         if step_hook is not None:
             step_hook(k, y)
-        x = xbar[k]
+        x, dw = xbar[k], ens.dW[:, k]
         ub = ubar.evaluate(k, scn, x)
         phik, psik = _source(phi, k), _source(psi, k)
-        y = _step_linear(stepper, scn.dt, y,
-                         (scn.coeffs.b_x(x, ub), scn.sigma_x_eff(x, ub),
-                          0.0 if phik is None else phik,
-                          0.0 if psik is None else psik), ens.dW[:, k])
+        g = (1.0 + scn.dt * scn.coeffs.b_x(x, ub)
+             + scn.coeffs.sigma_x(x, ub) * scn.noise_field(dw))
+        y = _step1(stepper, scn.dt, g * y, 0.0 if phik is None else phik,
+                   0.0 if psik is None else _noise(psik, dw, 2))
         _check_finite(y, k + 1)
         if store:
             if values is None:  # the shape is known once sources broadcast
@@ -166,22 +157,18 @@ def _part(src: np.ndarray, j: int, c: slice, ndim: int) -> np.ndarray:
     return src[c] if np.ndim(src) == ndim and len(src) > 1 else src
 
 
-def tensor_multiplier(bx: np.ndarray, sx: np.ndarray, dt: float, dw=None,
-                      out=None):
+def tensor_multiplier(bx: np.ndarray, sx: np.ndarray, C: np.ndarray,
+                      dt: float, xi=None, out=None):
     """(M, n, n) multiplier 1 + dt c + s (+) s of a product-space step (into
-    out): c = b_x(i) + b_x(j) + <sigma_x(i), sigma_x(j)>, s = sum_k sx_k dW_k."""
-    e = 0.5 + dt * bx + (0.0 if dw is None else np.einsum("pnk,pk->pn", sx, dw))
-    G = np.matmul(dt * sx, np.swapaxes(sx, 1, 2), out=out)
+    out) from the per-node b_x, sigma_x, the noise covariance C = E E^T and
+    noise field xi: c_ij = b_x,i + b_x,j + sigma_x,i sigma_x,j C_ij and s =
+    sigma_x xi, formed as dt (sigma_x (x) sigma_x) C + e (+) e."""
+    e = 0.5 + dt * bx + (0.0 if xi is None else sx * xi)
+    G = np.multiply(dt * sx[:, :, None], sx[:, None, :], out=out)
+    G *= C
     G += e[:, :, None]
     G += e[:, None, :]
     return G
-
-
-def _tensor_noise(psi: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """sum_k psi_k dW_k on the square; one GEMM for a deterministic psi."""
-    if psi.ndim == 4 and len(psi) > 1:  # per path
-        return np.einsum("pijk,pk->pij", psi, dw)
-    return (dw @ psi.reshape(-1, dw.shape[1]).T).reshape(-1, *psi.shape[-3:-1])
 
 
 def simulate_tensor(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
@@ -191,14 +178,15 @@ def simulate_tensor(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
     square, keeping only the final value (step_hook sees every step; a
     probe axis's (J, M, n, n) state is updated in place, so copy to keep it).
 
-    The linearization is folded once per step into G = 1 + dt c + s (+) s
-    (c the drift multiplier, s = sum_k sigma_x,k dW_k): Y <- solve2(G Y +
-    dt Phi + sum_k Psi_k dW_k).  phi/psi are per-step source providers
-    k -> arrays broadcasting to (M, n, n) and (M, n, n, K); None, or a None
-    return, means zero.  Sources with a leading probe axis, (J, 1, n, n)
-    and (J, 1, n, n, K), march J states step-major in one (J, M, n, n) Y.
+    Y <- solve2(G Y + dt Phi + noise), G = 1 + dt c + s (+) s formed once
+    per step (tensor_multiplier).  phi/psi are per-step source providers
+    k -> arrays; None, or a None return, means zero.  phi broadcasts to
+    (M, n, n); psi is a noise field (M, n, n) or per mode, (1, n, n, K)
+    (see _noise).  Sources with a leading probe axis, (J, 1, n, n) and
+    (J, 1, n, n, K), march J states step-major in one (J, M, n, n) Y.
     Providers are called once per step; the step runs on path chunks
-    (path_chunks), so its temporaries are a few chunk-sized blocks.
+    (path_chunks), with a few chunk-sized temporaries, and checks each
+    chunk for a blow-up as it is written.
     """
     stepper = _stepper(scn)
     m, n = ens.n_paths, scn.grid.n
@@ -213,46 +201,48 @@ def simulate_tensor(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
             step_hook(k, Y)
         x, dw = xbar[k], ens.dW[:, k]
         ub = ubar.evaluate(k, scn, x)
-        sx, bx = scn.sigma_x_eff(x, ub), scn.coeffs.b_x(x, ub)
+        sx, bx, xi = (scn.coeffs.sigma_x(x, ub), scn.coeffs.b_x(x, ub),
+                      scn.noise_field(dw))
+        nd = 3 if np.ndim(psik) == 3 else 4  # psi a noise field, or per mode
         # without a probe axis the state is rebound, so a hook may keep it
         new = Y if Y.ndim == 4 else np.empty_like(Y)
         for c in chunks:
             L = c.stop - c.start
-            tensor_multiplier(bx[c], sx[c], scn.dt, dw[c], out=G[:L])
+            tensor_multiplier(bx[c], sx[c], scn.noise_cov, scn.dt, xi[c],
+                              out=G[:L])
             for j, (Yj, out) in enumerate(zip(Y.reshape(-1, m, n, n),
                                               new.reshape(-1, m, n, n))):
                 r = np.multiply(G[:L], Yj[c], out=rhs[:L])
                 if phik is not None:
                     r += scn.dt * _part(phik, j, c, 3)
                 if psik is not None:
-                    r += _tensor_noise(_part(psik, j, c, 4), dw[c])
+                    r += _noise(_part(psik, j, c, nd), dw[c], 3)
                 out[c] = stepper.solve2(r)
+                _check_finite(out[c], k + 1)
         Y = new
-        _check_finite(Y, k + 1)
     return Trajectory(None, Y)
 
 
 # -- spike sources along a reference path ------------------------------------
 
 def _jumps(scn, x, ub, ue, base=None):
-    """Coefficient jumps of the spiked control ue at one step, b(x, ue) -
-    b(x, ub) and sigma_eff(x, ue) - sigma_eff(x, ub), reusing base =
-    (b(x, ub), per-node sigma(x, ub)) when given."""
+    """Per-node jumps b(x, ue) - b(x, ub) and sigma(x, ue) - sigma(x, ub) of
+    the spiked control ue at one step, reusing base = (b, sigma)(x, ub)."""
     b_b, sig_b = base or (scn.coeffs.b(x, ub), scn.coeffs.sigma(x, ub))
-    return scn.coeffs.b(x, ue) - b_b, scn.sigma_eff(x, ue) - scn._shaped(sig_b)
+    return scn.coeffs.b(x, ue) - b_b, scn.coeffs.sigma(x, ue) - sig_b
 
 
 def _second_variation(scn, x, ub, ue, y, a, s):
-    """Second-order response sources at one step, given the first-order
-    response y and the linearization (a, s) along (x, ub): quadratic
-    curvature sources in y plus, on the spike window, the derivative jumps
-    acting on y."""
+    """Second-order response sources (phi, omega) at one step, the noise
+    being omega xi, given the first-order response y and (a, s) = (b_x,
+    sigma_x) along (x, ub): quadratic curvature sources in y plus, on the
+    spike window, the derivative jumps acting on y."""
     phi = 0.5 * scn.coeffs.b_xx(x, ub) * y ** 2
-    psi = 0.5 * scn.sigma_xx_eff(x, ub) * (y ** 2)[..., None]
+    omega = 0.5 * scn.coeffs.sigma_xx(x, ub) * y ** 2
     if ue is not None:
         phi = phi + (scn.coeffs.b_x(x, ue) - a) * y
-        psi = psi + (scn.sigma_x_eff(x, ue) - s) * y[..., None]
-    return phi, psi
+        omega = omega + (scn.coeffs.sigma_x(x, ue) - s) * y
+    return phi, omega
 
 
 def _spiked(ueps: ControlProcess, k: int, scn: Scenario, x):
@@ -263,9 +253,9 @@ def _spiked(ueps: ControlProcess, k: int, scn: Scenario, x):
 
 
 def _spike_jumps(scn, xbar: Trajectory, ubar: ControlProcess,
-                 ueps: ControlProcess) -> Callable:
-    """k -> (x, ub, db, ds) along xbar on the spike window, None off it;
-    the last step is kept, so a phi/psi pair evaluates it once."""
+                 ueps: ControlProcess, ens: PathEnsemble) -> Callable:
+    """k -> (x, ub, db, ds, ds xi) along xbar on the spike window, None off
+    it; the last step is kept, so a phi/psi pair evaluates it once."""
     @functools.lru_cache(maxsize=1)
     def at(k):
         x = xbar[k]
@@ -273,53 +263,53 @@ def _spike_jumps(scn, xbar: Trajectory, ubar: ControlProcess,
         if ue is None:
             return None
         ub = ubar.evaluate(k, scn, x)
-        return (x, ub) + _jumps(scn, x, ub, ue)
+        db, ds = _jumps(scn, x, ub, ue)
+        return x, ub, db, ds, ds * scn.noise_field(ens.dW[:, k])
 
     return at
 
 
 def spike_sources(scn, xbar: Trajectory, ubar: ControlProcess,
-                  ueps: ControlProcess):
+                  ueps: ControlProcess, ens: PathEnsemble):
     """Source pair (phi, psi) driving the first-order response to the
-    spike in simulate_linear: b(xbar, u_eps) - b(xbar, ubar) and the
-    analogous diffusion jump, both vanishing off the spike window."""
-    at = _spike_jumps(scn, xbar, ubar, ueps)
+    spike in simulate_linear: b(xbar, u_eps) - b(xbar, ubar) and the noise
+    field of the diffusion jump, both vanishing off the spike window."""
+    at = _spike_jumps(scn, xbar, ubar, ueps, ens)
 
     def source(i):
         return lambda k: None if at(k) is None else at(k)[i]
 
-    return source(2), source(3)
+    return source(2), source(4)
 
 
 def spike_tensor_sources(scn, xbar: Trajectory, ubar: ControlProcess,
-                         ueps: ControlProcess, y: Trajectory):
-    """Source pair driving the product process of the first order response.
-
-    Both sources combine the response with the spike-window coefficient
-    increments symmetrically in the two coordinates; they vanish off the
-    spike window."""
-    at = _spike_jumps(scn, xbar, ubar, ueps)
+                         ueps: ControlProcess, y: Trajectory,
+                         ens: PathEnsemble):
+    """Source pair driving the product process of the first order response
+    on the ensemble's noise: with the jumps (db, ds), the symmetrized y_i
+    db_j + ((sigma_x y)_i ds_j + ds_i ds_j / 2) C_ij and the noise field
+    y_i (ds xi)_j + (ds xi)_i y_j, both vanishing off the spike window."""
+    at = _spike_jumps(scn, xbar, ubar, ueps, ens)
+    C = scn.noise_cov
 
     def phi(k):
         c = at(k)
         if c is None:
             return None
-        x, ub, db, ds = c
-        sx, yk = scn.sigma_x_eff(x, ub), y[k]
+        (x, ub, db, ds, _), yk = c, y[k]
+        sy = scn.coeffs.sigma_x(x, ub) * yk
         out = yk[:, :, None] * db[:, None, :] + yk[:, None, :] * db[:, :, None]
-        dsT = np.swapaxes(ds, 1, 2)
-        cross = (sx * yk[..., None]) @ dsT
+        cross = sy[:, :, None] * ds[:, None, :] * C
         out += cross + np.swapaxes(cross, 1, 2)
-        out += ds @ dsT
+        out += ds[:, :, None] * ds[:, None, :] * C
         return out
 
     def psi(k):
         c = at(k)
         if c is None:
             return None
-        ds, yk = c[3], y[k]
-        return (ds[:, :, None, :] * yk[:, None, :, None]
-                + ds[:, None, :, :] * yk[:, :, None, None])
+        w, yk = c[4], y[k]
+        return w[:, :, None] * yk[:, None, :] + yk[:, :, None] * w[:, None, :]
 
     return phi, psi
 
@@ -369,8 +359,7 @@ def simulate_costs(scn: Scenario, controls, ens: PathEnsemble) -> list:
         for (uk, group), acc_g in zip(groups.values(), accs):
             acc_g += scn.dt * scn.grid.h * np.sum(scn.coeffs.l(x, uk), axis=-1)
             x_g = _step1(stepper, scn.dt, x, scn.coeffs.b(x, uk),
-                         _node_noise(scn, scn.coeffs.sigma(x, uk),
-                                     ens.dW[:, k]))
+                         scn.coeffs.sigma(x, uk) * scn.noise_field(ens.dW[:, k]))
             try:
                 _check_finite(x_g, k + 1)
                 stack.append((k + 1, x_g, acc_g, group))
@@ -430,17 +419,18 @@ def spike_expansion_stats(scn: Scenario, ubar: ControlProcess, v, tau: float,
         ue = ueps.evaluate(k, scn, xe)
         spike = ue if ueps.active(k, scn) else None
         b_b, sig_b = scn.coeffs.b(xb, ub), scn.coeffs.sigma(xb, ub)
-        a, s = scn.coeffs.b_x(xb, ub), scn.sigma_x_eff(xb, ub)
-        jumps = (0.0, 0.0) if spike is None else _jumps(scn, xb, ub, spike,
-                                                        (b_b, sig_b))
-        quad = _second_variation(scn, xb, ub, spike, y, a, s)
-        dwk = ens.dW[:, k]
+        a, s = scn.coeffs.b_x(xb, ub), scn.coeffs.sigma_x(xb, ub)
+        db, ds = (0.0, 0.0) if spike is None else _jumps(scn, xb, ub, spike,
+                                                         (b_b, sig_b))
+        qphi, qomega = _second_variation(scn, xb, ub, spike, y, a, s)
+        xi = scn.noise_field(ens.dW[:, k])
+        g = 1.0 + scn.dt * a + s * xi
         xb, xe, y, z = (
-            _step1(stepper, scn.dt, xb, b_b, _node_noise(scn, sig_b, dwk)),
+            _step1(stepper, scn.dt, xb, b_b, sig_b * xi),
             _step1(stepper, scn.dt, xe, scn.coeffs.b(xe, ue),
-                   _node_noise(scn, scn.coeffs.sigma(xe, ue), dwk)),
-            _step_linear(stepper, scn.dt, y, (a, s) + jumps, dwk),
-            _step_linear(stepper, scn.dt, z, (a, s) + quad, dwk))
+                   scn.coeffs.sigma(xe, ue) * xi),
+            _step1(stepper, scn.dt, g * y, db, ds * xi),
+            _step1(stepper, scn.dt, g * z, qphi, qomega * xi))
         _check_finite(xe, k + 1)
         y_sq[k + 1] = h * np.sum(y ** 2, axis=-1)
         z_nrm[k + 1] = np.sqrt(h * np.sum(z ** 2, axis=-1))

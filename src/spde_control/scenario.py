@@ -7,7 +7,7 @@ expression language, so derivative consistency can be enforced at load
 time.  All coefficient callables are pointwise (Nemytskii) maps applied
 node-by-node; they accept x of any shape and a control point u of shape
 (m,) or (batch, m), and broadcast accordingly.  The K noise modes enter
-only through the scenario's fixed (n, K) profile (Scenario.sigma_eff).
+only through the fixed (n, K) profile E (Scenario.noise_field, noise_cov).
 """
 from __future__ import annotations
 
@@ -391,6 +391,7 @@ class Scenario:
         self.noise.validate_shapes(self.grid)
         shapes = self.noise.mode_shapes
         self.profile = np.ones((self.grid.n, self.n_modes)) if shapes is None else shapes
+        self.noise_cov = self.profile @ self.profile.T  # C = E E^T, (n, n)
 
     @property
     def dt(self) -> float:
@@ -403,6 +404,10 @@ class Scenario:
     @property
     def n_modes(self) -> int:
         return self.noise.n_modes
+
+    def noise_field(self, dw: np.ndarray) -> np.ndarray:
+        """Noise field xi = dW E^T (..., n): sum_k (sigma E_k) dW_k = sigma xi."""
+        return dw @ self.profile.T
 
     def _shaped(self, vals: np.ndarray) -> np.ndarray:
         """Per-mode values vals[..., None] * E (..., n, K) of a per-node field."""

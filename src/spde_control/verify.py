@@ -186,9 +186,9 @@ def check_tensor_identity(scn: Scenario, ubar: ControlProcess, v, tau: float,
     xbar = simulate_state(scn, ubar, ens, store=True)
     ueps = SpikeControl(ubar, v, tau, eps)
     ueps.validate_horizon(scn.T)
-    phi, psi = spike_sources(scn, xbar, ubar, ueps)
+    phi, psi = spike_sources(scn, xbar, ubar, ueps, ens)
     y = simulate_linear(scn, xbar, ubar, ens, phi=phi, psi=psi)
-    phi, psi = spike_tensor_sources(scn, xbar, ubar, ueps, y)
+    phi, psi = spike_tensor_sources(scn, xbar, ubar, ueps, y, ens)
     Y = simulate_tensor(scn, xbar, ubar, ens, phi=phi, psi=psi)
     outer = y.final[:, :, None] * y.final[:, None, :]
     h = scn.grid.h

@@ -163,11 +163,13 @@ def qcouple(sx, Qk):
 def lockstep_sweep2(scn, xbar, ubar, ens, pair1, Ps, method, store_steps,
                     step_hook):
     """adjoint._sweep2 before path chunking: every width's whole (M, n, n)
-    P marches in lockstep from the terminals Ps, which end holding P_0.
-    step_hook(k, Mk, Qk) gets the lifted pairing values, Qk (M, n, n, K).
-    Returns the per-width a-priori statistics, the squared increments, the
-    stored steps and the diagnostics."""
-    from spde_control.adjoint import _curvature, _step_fit
+    P marches in lockstep from the terminals Ps, which end holding P_0.  The
+    per-node arithmetic is the kernel's: one GEMM lifts [Mk | A | B] and
+    P = G1 Mk + dt (sigma_x,i A + sigma_x,j B + source).  step_hook(k, Mk,
+    Qk) gets the lifted pairing values, Qk (M, n, n, K).  Returns the
+    per-width a-priori statistics, the squared increments, the stored steps
+    and the diagnostics."""
+    from spde_control.adjoint import _curvature, _lift_coefficients, _step_fit
     from spde_control.forward import _stepper, tensor_multiplier
     from spde_control.operators import SpectralBasis, sobolev_norms_batch
 
@@ -191,15 +193,18 @@ def lockstep_sweep2(scn, xbar, ubar, ens, pair1, Ps, method, store_steps,
             Qr = np.full((m, 1), m ** -0.5)
         design = (np.column_stack([np.ones(m), ens.dW[:, k]])[:, :, None]
                   * Qr[:, None, :]).reshape(m, -1)
-        sx = scn.sigma_x_eff(x, uk)
-        G1 = tensor_multiplier(scn.coeffs.b_x(x, uk), sx, dt)
+        sx = scn.coeffs.sigma_x(x, uk)
+        G1 = tensor_multiplier(scn.coeffs.b_x(x, uk), sx, scn.noise_cov, dt)
         diag_source = _curvature(scn, x, uk, pair1.p[k], pair1.q[k]) / h
         for i, P in enumerate(Ps):
             coef = (design.T @ P.reshape(m, -1)).reshape(K + 1, -1, n, n)
-            Mk = np.tensordot(Qr, stepper.solve2(coef[0]), axes=1)
-            Qk = np.tensordot(Qr, stepper.solve2(coef[1:].swapaxes(0, 1) / dt),
-                              axes=1)
-            rate = qcouple(sx, Qk)
+            SQ = stepper.solve2(coef[1:].swapaxes(0, 1) / dt)
+            SAB = _lift_coefficients(scn.profile, stepper.solve2(coef[0]), SQ)
+            Mk, A, B = np.moveaxis(
+                np.dot(Qr, SAB.reshape(len(SAB), -1)).reshape(m, 3, n, n), 1, 0)
+            Qk = np.tensordot(Qr, SQ, axes=1)
+            rate = sx[:, :, None] * A
+            rate += sx[:, None, :] * B
             rate[:, idx, idx] += diag_source
             P = Ps[i] = G1 * Mk + dt * rate
             hm1, l2 = sobolev_norms_batch(P, basis2, (-1.0, 0.0))

@@ -8,8 +8,8 @@ import pytest
 from helpers import (lockstep_sweep2, make_scenario, qcouple, reference_sweep2,
                      terminal_distance)
 from spde_control import adjoint, forward
-from spde_control.adjoint import (RegressionBasis, RegressionError, _coupling,
-                                  _project, _smoothed, solve_adjoint1,
+from spde_control.adjoint import (RegressionBasis, RegressionError,
+                                  _lift_coefficients, _project, _smoothed, solve_adjoint1,
                                   solve_adjoint2_limit, solve_adjoint2_mollified)
 from spde_control.ensemble import PathEnsemble
 from spde_control.forward import simulate_state
@@ -157,20 +157,24 @@ def test_ansatz_oracle_requires_affine_preset():
 # -- second-order pair -------------------------------------------------------
 
 def test_martingale_coupling_matches_einsum_formula():
-    # the mode-major coupling is formed once per chunk for every width; one
-    # einsum per width reduces it against Qk, bit for bit as the strided
-    # mode-by-mode sum for K <= 2
+    # the modes are contracted with E on the fit coefficients: lifting
+    # [S | A | B] with one GEMM gives M_k and sigma_x,i A + sigma_x,j B, the
+    # coupling sum_k (sx_k (+) sx_k) Q_k of the per-mode sx_k = sigma_x E_k
     gen = np.random.Generator(np.random.Philox(key=43))
     for K in (1, 2, 3):
-        sx = gen.normal(size=(6, 10, K))
-        Qk = gen.normal(size=(6, K, 10, 10))
+        sig, E = gen.normal(size=(6, 10)), gen.normal(size=(10, K))
+        Qr = gen.normal(size=(6, 4))
+        S, SQ = gen.normal(size=(4, 10, 10)), gen.normal(size=(4, K, 10, 10))
+        Mk, A, B = np.moveaxis(np.tensordot(Qr, _lift_coefficients(E, S, SQ),
+                                            axes=1), 1, 0)
+        out = sig[:, :, None] * A + sig[:, None, :] * B
+        sx, Qk = sig[:, :, None] * E, np.tensordot(Qr, SQ, axes=1)
         Q = np.moveaxis(Qk, 1, 3)
         ref = (np.einsum("pik,pijk->pij", sx, Q)
                + np.einsum("pjk,pijk->pij", sx, Q))
-        out = np.einsum("pkij,pkij->pij", _coupling(sx), Qk)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
-        if K <= 2:
-            assert np.array_equal(out, qcouple(sx, Qk))
+        assert _rel(out, qcouple(sx, Qk)) <= 1e-13
+        assert _rel(Mk, np.tensordot(Qr, S, axes=1)) <= 1e-13
 
 
 def test_second_order_solution_is_symmetric():

@@ -1,12 +1,14 @@
 """The traced benchmark names package entry points by string: every name it
 patches or expects must still exist, so that a refactor cannot silently
 break a traced run.  The bench modules are loaded by path and nothing is
-patched."""
+patched; a traced run of each workload must also pass the bench's own
+correctness gate."""
 import dataclasses
 import importlib.util
 import inspect
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -71,3 +73,18 @@ def test_sweeps_take_the_wrapped_keywords(spans):
         mod, attr = spans.FUNCTIONS[name]
         params = inspect.signature(getattr(mod, attr)).parameters
         assert {"phi", "psi"} <= set(params), name
+
+
+@pytest.mark.parametrize("workload", ["second-order", "first-order"])
+def test_traced_bench_run_is_correct(workload):
+    # the gate itself, at its smallest: one untraced and one traced run,
+    # correct only if every statistic is within 1e-10 of expected.json,
+    # every expected span fired and tracing changed no statistic
+    proc = subprocess.run(
+        [sys.executable, os.path.join(BENCH, "run.py"), "--workload", workload,
+         "--seed", "7", "--seconds", "0", "--trace", "1"],
+        cwd=os.path.dirname(os.path.abspath(BENCH)), capture_output=True,
+        text=True, timeout=170)
+    lines = proc.stdout.strip().splitlines()
+    assert proc.returncode == 0 and lines, proc.stderr
+    assert json.loads(lines[-1])["correct"] is True, proc.stderr

@@ -14,8 +14,9 @@ from spde_control.forward import (BlowUpError, _second_variation,
                                   tensor_multiplier)
 from spde_control.operators import ImplicitStepper, SpectralBasis
 from spde_control.scenario import (ControlProcess, DeterministicControl,
-                                   SpikeControl)
-from spde_control.verify import (block_control_candidates, make_tensor_probes,
+                                   Scenario, SpikeControl)
+from spde_control.verify import (block_control_candidates,
+                                 check_tensor_identity, make_tensor_probes,
                                  zero_noise_oracle)
 
 
@@ -76,14 +77,16 @@ def _per_mode_state(scn, u, ens):
 @pytest.mark.parametrize("K", [1, 2])
 @pytest.mark.parametrize("shapes", [False, True])
 def test_state_noise_equals_the_per_mode_sum(K, shapes):
-    # for K <= 2 the per-node noise sum_k (sigma E_k) dW_k rounds exactly
-    # like the einsum over the per-mode diffusion
+    # the noise sigma xi, xi = dW E^T, is the per-mode sum sum_k (sigma E_k)
+    # dW_k up to rounding; with one unshaped mode both are sigma dW exactly
     for preset in ("logistic-drift", "bilinear"):
         scn = make_scenario(preset, n=8, n_t=32, K=K, shapes=shapes)
         ens = PathEnsemble.for_scenario(scn, n_paths=50)
         traj = simulate_state(scn, scn.base_control, ens)
-        assert np.array_equal(traj.values,
-                              _per_mode_state(scn, scn.base_control, ens))
+        ref = _per_mode_state(scn, scn.base_control, ens)
+        if K == 1 and not shapes:
+            assert np.array_equal(traj.values, ref)
+        assert np.abs(traj.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_state_noise_with_three_modes_within_rounding():
@@ -120,7 +123,7 @@ def test_linear_equation_is_linear_in_the_sources():
     xbar = simulate_state(scn, scn.base_control, ens)
     gen = np.random.Generator(np.random.Philox(key=2))
     phi = gen.normal(size=(scn.n_t, scn.grid.n))
-    psi = gen.normal(size=(scn.n_t, scn.grid.n, scn.n_modes))
+    psi = gen.normal(size=(scn.n_t, 1, scn.grid.n, scn.n_modes))
     y1 = simulate_linear(scn, xbar, scn.base_control, ens,
                          phi=lambda k: phi[k], psi=lambda k: psi[k])
     y3 = simulate_linear(scn, xbar, scn.base_control, ens,
@@ -146,7 +149,7 @@ def test_stacked_probes_equal_single_probe_sweeps(preset, K, shapes):
     for j in range(3):
         single = simulate_linear(scn, xbar, ubar, ens,
                                  phi=lambda k: phis[k, j, 0],
-                                 psi=lambda k: psis[k, j, 0])
+                                 psi=lambda k: psis[k, j])
         assert np.array_equal(stacked.values[:, j], single.values)
 
 
@@ -155,7 +158,7 @@ def test_first_variation_vanishes_without_a_spike():
     ens = PathEnsemble.for_scenario(scn, n_paths=10)
     xbar = simulate_state(scn, scn.base_control, ens)
     ueps = SpikeControl(scn.base_control, [0.0], tau=0.2, eps=0.1)
-    phi, psi = spike_sources(scn, xbar, scn.base_control, ueps)
+    phi, psi = spike_sources(scn, xbar, scn.base_control, ueps, ens)
     y = simulate_linear(scn, xbar, scn.base_control, ens, phi=phi, psi=psi)
     assert np.max(np.abs(y.values)) == 0.0
 
@@ -165,11 +168,11 @@ def test_tensor_simulation_preserves_symmetry():
     ens = PathEnsemble.for_scenario(scn, n_paths=10)
     xbar = simulate_state(scn, scn.base_control, ens)
     Phi, Psi = make_tensor_probes(scn, 1)[0]
-    m, n, K = 10, 8, scn.n_modes
+    m, n = 10, 8
     steps = []
     Y = simulate_tensor(scn, xbar, scn.base_control, ens,
                         phi=lambda k: np.broadcast_to(Phi[k], (m, n, n)),
-                        psi=lambda k: np.broadcast_to(Psi[k], (m, n, n, K)),
+                        psi=lambda k: Psi[k][None],
                         step_hook=lambda k, Yk: steps.append(Yk))
     values = np.array(steps + [Y.final])
     assert values.shape == (scn.n_t + 1, m, n, n)
@@ -179,9 +182,10 @@ def test_tensor_simulation_preserves_symmetry():
 
 def test_collapsed_tensor_noise_matches_per_mode_loop():
     # the folded step solve2(G Y + dt Phi + sum_k Psi_k dW_k), with
-    # G = 1 + dt c + s (+) s and s = sum_k sx_k dW_k, against the per-mode
+    # G = 1 + dt c + s (+) s and s = sigma_x xi, against the per-mode
     # step solve2(Y + dt (c Y + Phi) + sum_k ((sx_k (+) sx_k) Y + Psi_k) dW_k),
-    # for per-path and deterministic Psi
+    # for a per-path Psi (handed over as its noise field) and a deterministic
+    # one (contracted by the kernel)
     scn = make_scenario("bilinear", n=9, n_t=6, K=3)
     m, n, K = 5, scn.grid.n, scn.n_modes
     ens = PathEnsemble.for_scenario(scn, n_paths=m)
@@ -192,8 +196,10 @@ def test_collapsed_tensor_noise_matches_per_mode_loop():
     Phi = gen.normal(size=(scn.n_t, m, n, n))
     for Psi in (gen.normal(size=(scn.n_t, m, n, n, K)),
                 gen.normal(size=(scn.n_t, 1, n, n, K))):
+        noise = (lambda k: np.einsum("pijk,pk->pij", Psi[k], ens.dW[:, k])
+                 if len(Psi[k]) > 1 else Psi[k])
         out = simulate_tensor(scn, xbar, ubar, ens, phi=lambda k: Phi[k],
-                              psi=lambda k: Psi[k]).final
+                              psi=noise).final
         ref = np.zeros((m, n, n))
         for k in range(scn.n_t):
             x = xbar[k]
@@ -208,13 +214,16 @@ def test_collapsed_tensor_noise_matches_per_mode_loop():
                              * ens.dW[:, k, mode][:, None, None])
             ref = stepper.solve2(explicit)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # the per-node multiplier from sigma_x, C = E E^T and xi = dW E^T
+    # against the per-mode coefficients sx_k = sigma_x E_k
     gen = np.random.Generator(np.random.Philox(key=42))
-    sx, bx, dwk = (gen.normal(size=(m, n, K)), gen.normal(size=(m, n)),
-                   gen.normal(size=(m, K)))
+    sig, bx, dwk, E = (gen.normal(size=(m, n)), gen.normal(size=(m, n)),
+                       gen.normal(size=(m, K)), gen.normal(size=(n, K)))
+    sx = sig[:, :, None] * E
     c = bx[:, :, None] + bx[:, None, :] + np.einsum("pik,pjk->pij", sx, sx)
     s = np.einsum("pnk,pk->pn", sx, dwk)
-    for G, ref in ((tensor_multiplier(bx, sx, 0.1), 1.0 + 0.1 * c),
-                   (tensor_multiplier(bx, sx, 0.1, dwk),
+    for G, ref in ((tensor_multiplier(bx, sig, E @ E.T, 0.1), 1.0 + 0.1 * c),
+                   (tensor_multiplier(bx, sig, E @ E.T, 0.1, dwk @ E.T),
                     1.0 + 0.1 * c + s[:, :, None] + s[:, None, :])):
         assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -261,9 +270,9 @@ def test_chunked_tensor_sweep_equals_one_chunk(monkeypatch, K, shapes):
     psis = np.stack([Psi for _, Psi in probes], axis=1)[:, :, None]
     ueps = SpikeControl(ubar, [0.8], tau=0.1, eps=0.1)
     y = simulate_linear(scn, xbar, ubar, ens,
-                        *spike_sources(scn, xbar, ubar, ueps))
+                        *spike_sources(scn, xbar, ubar, ueps, ens))
     sources = [(lambda k: phis[k], lambda k: psis[k]),
-               spike_tensor_sources(scn, xbar, ubar, ueps, y)]
+               spike_tensor_sources(scn, xbar, ubar, ueps, y, ens)]
     assert len(forward.path_chunks(300, 8)) == 1
     whole = [simulate_tensor(scn, xbar, ubar, ens, phi=phi, psi=psi).final
              for phi, psi in sources]
@@ -276,6 +285,64 @@ def test_chunked_tensor_sweep_equals_one_chunk(monkeypatch, K, shapes):
         assert shapes_seen == {ref.shape}
         assert np.array_equal(out.final, ref)
     assert np.max(np.abs(whole[1])) > 0.0
+
+
+def test_chunked_tensor_blow_up_raises_at_the_one_chunk_step(monkeypatch):
+    # each chunk is checked as it is written: a source that turns the last
+    # path non-finite at step 5 stops the sweep at step 6 however the paths
+    # are split, the bad path in the ragged last chunk
+    scn = make_scenario("bilinear", n=8, n_t=16)
+    ens = PathEnsemble.for_scenario(scn, n_paths=300)
+    ubar = scn.base_control
+    xbar = simulate_state(scn, ubar, ens)
+    phi = np.zeros((300, 8, 8))
+    phi[-1] = np.inf
+    steps = []
+    for rows in (None, 37):
+        if rows is not None:
+            monkeypatch.setattr(forward, "CHUNK_BYTES", rows * 8 * 8 * 8)
+        assert len(forward.path_chunks(300, 8)) == (1 if rows is None else 9)
+        with np.errstate(invalid="ignore"), pytest.raises(BlowUpError) as exc:
+            simulate_tensor(scn, xbar, ubar, ens,
+                            phi=lambda k: phi if k == 5 else None)
+        steps.append(exc.value.step)
+    assert steps == [6, 6]
+
+
+@pytest.mark.parametrize("K, shapes", [(2, True), (3, True), (3, False)])
+def test_forward_layer_reads_no_per_mode_diffusion(monkeypatch, K, shapes):
+    # the forward kernels take the coefficients per node and the noise
+    # modes only through xi = dW E^T and C = E E^T: the per-mode diffusion
+    # serves the pairings with q alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("the forward layer read a per-mode diffusion")
+
+    for name in ("sigma_eff", "sigma_x_eff", "sigma_xx_eff", "_shaped"):
+        monkeypatch.setattr(Scenario, name, refuse)
+    scn = make_scenario("logistic-drift", n=6, n_t=8, K=K, shapes=shapes)
+    ens = PathEnsemble.for_scenario(scn, n_paths=12)
+    ubar = scn.base_control
+    ueps = SpikeControl(ubar, [0.8], tau=0.1, eps=0.2)
+    xbar = simulate_state(scn, ubar, ens)
+    simulate_costs(scn, [ubar, ueps], ens)
+    gen = np.random.Generator(np.random.Philox(key=5))
+    phis = gen.normal(size=(scn.n_t, 2, 1, scn.grid.n))
+    psis = gen.normal(size=(scn.n_t, 2, 1, scn.grid.n, K))
+    simulate_linear(scn, xbar, ubar, ens, phi=lambda k: phis[k],
+                    psi=lambda k: psis[k])
+    probes = make_tensor_probes(scn, 2)
+    Phis = np.stack([Phi for Phi, _ in probes], axis=1)[:, :, None]
+    Psis = np.stack([Psi for _, Psi in probes], axis=1)[:, :, None]
+    simulate_tensor(scn, xbar, ubar, ens, phi=lambda k: Phis[k],
+                    psi=lambda k: Psis[k])
+    y = simulate_linear(scn, xbar, ubar, ens,
+                        *spike_sources(scn, xbar, ubar, ueps, ens))
+    Y = simulate_tensor(scn, xbar, ubar, ens,
+                        *spike_tensor_sources(scn, xbar, ubar, ueps, y, ens))
+    assert np.max(np.abs(Y.final)) > 0.0
+    st = spike_expansion_stats(scn, ubar, [0.8], tau=0.1, eps=0.2, ens=ens)
+    assert st.y_moment > 0.0
+    check_tensor_identity(scn, ubar, [0.8], tau=0.1, eps=0.2, ens=ens)
 
 
 def test_cost_sweep_returns_the_terminal_state():
@@ -398,15 +465,17 @@ def test_lockstep_stats_equal_the_variation_systems():
     ubar, h = scn.base_control, scn.grid.h
     ueps = SpikeControl(ubar, [0.8], tau=0.1, eps=0.05)
     xbar = simulate_state(scn, ubar, ens)
-    phi, psi = spike_sources(scn, xbar, ubar, ueps)
+    phi, psi = spike_sources(scn, xbar, ubar, ueps, ens)
     y = simulate_linear(scn, xbar, ubar, ens, phi=phi, psi=psi)
 
     def second(k):
         x = xbar[k]
         ub = ubar.evaluate(k, scn, x)
         ue = ueps.evaluate(k, scn, x) if ueps.active(k, scn) else None
-        return _second_variation(scn, x, ub, ue, y[k], scn.coeffs.b_x(x, ub),
-                                 scn.sigma_x_eff(x, ub))
+        phi, omega = _second_variation(scn, x, ub, ue, y[k],
+                                       scn.coeffs.b_x(x, ub),
+                                       scn.coeffs.sigma_x(x, ub))
+        return phi, omega * scn.noise_field(ens.dW[:, k])
 
     z = simulate_linear(scn, xbar, ubar, ens, phi=lambda k: second(k)[0],
                         psi=lambda k: second(k)[1])
