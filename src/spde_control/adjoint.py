@@ -89,36 +89,31 @@ def _project(feats: np.ndarray):
     return Q[:, :keep], cond
 
 
-def _smoothed(Qr: Optional[np.ndarray], target: np.ndarray, solve):
+def _smoothed(Qr: np.ndarray, target: np.ndarray, solve):
     """solve of the conditional mean of the target: the resolvent acts on
     the coefficients Qr^T target, which Qr lifts to the paths once (the
-    projector acts on the path axis, the resolvent on the space axes).
-    Without a fit it solves the ensemble mean once as a (1, ...) block."""
-    if Qr is None:
-        return np.broadcast_to(solve(target.mean(axis=0, keepdims=True)), target.shape)
+    projector acts on the path axis, the resolvent on the space axes)."""
     return np.tensordot(Qr, solve(np.tensordot(Qr, target, axes=(0, 0))), axes=1)
 
 
-def _step_fit(scn: Scenario, m: int, method: str):
-    """Validate the conditional-expectation method; return fit(x), the one
-    regression fit of a step on the features of x (None under "mean"), and
-    the diagnostics in which it books the Gram condition and retained rank.
+def _step_fit(scn: Scenario, m: int):
+    """Return fit(x), the one regression fit of a step on the features of
+    x, and the diagnostics in which it books the Gram condition and
+    retained rank.
 
-    A basis with more than M / 20 features is refused: the regression error
-    grows like F / M (Gobet, Lemor & Warin 2005).
+    A fit that keeps more than max(M // 20, 1) columns is refused: the
+    regression error grows like F / M with F the retained columns (Gobet,
+    Lemor & Warin 2005).  A deterministic state keeps only the constant column, so
+    its fit is the ensemble mean at any M.
     """
-    if method not in ("regress", "mean"):
-        raise ValueError(f"unknown conditional-expectation method {method!r}")
-    reg_basis = RegressionBasis(scn.grid, scn.op) if method == "regress" else None
-    if reg_basis is not None and reg_basis.n_features > max(m // 20, 2):
-        raise RegressionError(
-            f"{reg_basis.n_features} features for {m} paths; need M >= 20 F")
-    diag = {"max_gram_condition": 0.0, "method": method}
+    reg_basis = RegressionBasis(scn.grid, scn.op)
+    diag = {"max_gram_condition": 0.0}
 
     def fit(x):
-        if method == "mean":
-            return None
         Qr, cond = _project(reg_basis.features(x))
+        if Qr.shape[1] > max(m // 20, 1):
+            raise RegressionError(
+                f"fit keeps {Qr.shape[1]} columns for {m} paths; need M >= 20 F")
         diag["max_gram_condition"] = max(diag["max_gram_condition"], cond)
         diag["min_rank"] = min(diag.get("min_rank", Qr.shape[1]), Qr.shape[1])
         return Qr
@@ -154,7 +149,7 @@ class BackwardPair1:
 
 
 def solve_adjoint1(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
-                   ens: PathEnsemble, method: str = "regress", store: bool = True,
+                   ens: PathEnsemble, store: bool = True,
                    step_hook: Callable = None) -> BackwardPair1:
     """Backward sweep for the first-order adjoint pair along xbar.
 
@@ -166,7 +161,7 @@ def solve_adjoint1(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
     regression error.
     """
     m, n, K = ens.n_paths, scn.grid.n, scn.n_modes
-    fit, diag = _step_fit(scn, m, method)
+    fit, diag = _step_fit(scn, m)
     stepper = _stepper(scn)
     p = scn.coeffs.h_x(xbar.final)
     p_store = np.empty((scn.n_t + 1, m, n)) if store else None
@@ -209,7 +204,7 @@ class BackwardPair2:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _sweep2(scn, xbar, ubar, ens, pair1, etas, method, store_steps, step_hook):
+def _sweep2(scn, xbar, ubar, ens, pair1, etas, store_steps, step_hook):
     """Backward sweep of the mollified second-order pair from the terminals
     at the widths etas, every width marching in lockstep over path chunks
     (forward.path_chunks).  Between steps P_{k+1} stays in coefficient form:
@@ -225,7 +220,7 @@ def _sweep2(scn, xbar, ubar, ens, pair1, etas, method, store_steps, step_hook):
     apply.  Returns that P_0, the per-width a-priori statistics, squared
     increments and terminal distances, the stored steps and diagnostics.
     """
-    fit, diag = _step_fit(scn, ens.n_paths, method)
+    fit, diag = _step_fit(scn, ens.n_paths)
     stepper = _stepper(scn)
     basis2 = SpectralBasis.build(scn.grid.square(), scn.op)
     m, n, K, h, dt = ens.n_paths, scn.grid.n, scn.n_modes, scn.grid.h, scn.dt
@@ -292,8 +287,6 @@ def _sweep2(scn, xbar, ubar, ens, pair1, etas, method, store_steps, step_hook):
         x = xbar[k]
         uk = ubar.evaluate(k, scn, x)
         Qr = fit(x)
-        if Qr is None:  # "mean": the one basis column is constant
-            Qr = np.full((m, 1), m ** -0.5)
         # [Qr | Qr dW_1 | ... | Qr dW_K]: one GEMM per width fits every target
         design = (np.column_stack([np.ones(m), ens.dW[:, k]])[:, :, None]
                   * Qr[:, None, :]).reshape(m, -1)
@@ -316,7 +309,6 @@ def _sweep2(scn, xbar, ubar, ens, pair1, etas, method, store_steps, step_hook):
 
 def solve_adjoint2_mollified(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
                              ens: PathEnsemble, pair1: BackwardPair1, eta: float,
-                             method: str = "regress",
                              store_steps=(), step_hook: Callable = None) -> BackwardPair2:
     """Backward sweep for the mollified second-order adjoint.
 
@@ -326,17 +318,17 @@ def solve_adjoint2_mollified(scn: Scenario, xbar: Trajectory, ubar: ControlProce
     the pairing values at step k in coefficient form: the resolvent-
     smoothed conditional mean of P_{k+1} is M_k = Qr S and the martingale
     component, mode-major (M, K, n, n), is Q_k = Qr SQ, with Qr (M, keep)
-    the step's orthonormal regression basis (under "mean" the constant
-    column M^-1/2), S (keep, n, n) and SQ (keep, K, n, n).  These are what
-    source pairings must use for exact discrete duality; pair a source with
-    S and SQ first and lift the (keep,) result with Qr.
+    the step's orthonormal regression basis, S (keep, n, n) and SQ (keep,
+    K, n, n).  These are what source pairings must use for exact discrete
+    duality; pair a source with S and SQ first and lift the (keep,) result
+    with Qr.
 
     The a-priori statistic sup_k E ||P_k||_{H^-1}^2 + E sum dt ||P_k||_{L2}^2
     is accumulated during the sweep.  This is the lockstep kernel of
     solve_adjoint2_limit run at the single width eta.
     """
     P0, stats, _, _, stored, diag = _sweep2(scn, xbar, ubar, ens, pair1, [eta],
-                                            method, store_steps, step_hook)
+                                            store_steps, step_hook)
     return BackwardPair2(eta, P0, stored, stats[0], diag)
 
 
@@ -380,7 +372,7 @@ def solve_adjoint2_limit(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
     if len(etas) < 2:
         raise ValueError("eta ladder needs at least two widths")
     P0, stats, cauchy_sq, dists, stored, diag = _sweep2(
-        scn, xbar, ubar, ens, pair1, etas, "regress", (), None)
+        scn, xbar, ubar, ens, pair1, etas, (), None)
     increments = [float(np.sqrt(v)) for v in cauchy_sq]
     finest = BackwardPair2(etas[-1], P0, stored, stats[-1], diag)
     return EtaLadderReport(list(etas), stats, dists, increments, finest)

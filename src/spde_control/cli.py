@@ -81,7 +81,7 @@ def _failed(experiment: str, exc: Exception, tolerance=None) -> int:
 class _Run:
     """Run directory plus manifest bookkeeping for one command."""
 
-    def __init__(self, args, scn, overrides: dict):
+    def __init__(self, args, scn):
         base = args.out or os.environ.get(ENV_OUTDIR) or "runs"
         stem = os.path.splitext(os.path.basename(args.scenario))[0]
         self.dir = os.path.join(base, f"{args.command}-{stem}-s{scn.seed}")
@@ -94,8 +94,10 @@ class _Run:
             "tool_version": __version__,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         }
-        for key, val in overrides.items():
-            lines[f"override.{key}"] = val
+        # every flag given or defaulted, so equal manifests mean equal outputs
+        for key, val in vars(args).items():
+            if key not in ("command", "scenario", "out") and val is not None:
+                lines[f"override.{key}"] = val
         with open(os.path.join(self.dir, "manifest.txt"), "w") as fh:
             for key, val in lines.items():
                 fh.write(f"{key}={val}\n")
@@ -123,19 +125,16 @@ def _load(args):
     scn = load_scenario(args.scenario)
     if getattr(args, "eta", None) is not None:
         _parse_eta(args.eta, scn.grid.h)
-    overrides = {}
     if args.seed is not None:
         scn.seed = args.seed
-        overrides["seed"] = args.seed
     if args.paths is not None:
         scn.default_paths = args.paths
-        overrides["paths"] = args.paths
-    return scn, overrides
+    return scn
 
 
 def cmd_simulate(args) -> int:
-    scn, overrides = _load(args)
-    run = _Run(args, scn, overrides)
+    scn = _load(args)
+    run = _Run(args, scn)
     ens = PathEnsemble.for_scenario(scn)
     try:
         est = simulate_cost(scn, scn.base_control, ens)
@@ -153,13 +152,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_adjoint(args) -> int:
-    scn, overrides = _load(args)
-    if args.eta is not None:
-        overrides["eta"] = args.eta
-    run = _Run(args, scn, overrides)
+    scn = _load(args)
+    run = _Run(args, scn)
     ens = PathEnsemble.for_scenario(scn)
     try:
-        xbar = simulate_state(scn, scn.base_control, ens, store=True)
+        xbar = simulate_state(scn, scn.base_control, ens)
         pair1 = solve_adjoint1(scn, xbar, scn.base_control, ens)
         cond = pair1.diagnostics["max_gram_condition"]
         run.write("p0_mean.csv",
@@ -179,12 +176,8 @@ def cmd_adjoint(args) -> int:
 
 
 def cmd_duality(args) -> int:
-    scn, overrides = _load(args)
-    overrides["order"] = args.order
-    overrides["probes"] = args.probes
-    if args.eta is not None:
-        overrides["eta"] = args.eta
-    run = _Run(args, scn, overrides)
+    scn = _load(args)
+    run = _Run(args, scn)
     ens = PathEnsemble.for_scenario(scn)
     tol = verify.DUALITY_TOL[args.order]
     try:
@@ -206,9 +199,7 @@ def cmd_duality(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    scn, overrides = _load(args)
-    overrides["kind"] = args.kind
-    overrides["eps_ladder"] = args.eps_ladder
+    scn = _load(args)
     fractions = _parse_ladder(args.eps_ladder)
     if len({f for f in fractions if f > 0.0}) < 3:  # a slope fit needs 3
         raise ConfigError(f"--eps-ladder needs at least 3 distinct positive "
@@ -219,7 +210,7 @@ def cmd_rates(args) -> int:
     if spike.tau + max(fractions) * scn.T > scn.T:
         raise ConfigError(f"--eps-ladder fraction {max(fractions):g} puts the "
                           f"spike past the horizon T = {scn.T:g}")
-    run = _Run(args, scn, overrides)
+    run = _Run(args, scn)
     kinds = list(_RATE_STATS) if args.kind == "all" else [args.kind]
     try:
         rep = verify.rate_experiment(scn, scn.base_control, spike.v, spike.tau,
@@ -258,10 +249,8 @@ def cmd_rates(args) -> int:
 
 
 def cmd_smp(args) -> int:
-    scn, overrides = _load(args)
-    if args.eta is not None:
-        overrides["eta"] = args.eta
-    run = _Run(args, scn, overrides)
+    scn = _load(args)
+    run = _Run(args, scn)
     ens = PathEnsemble.for_scenario(scn)
     eta = _parse_eta(args.eta or "4h2", scn.grid.h)
     try:
@@ -281,9 +270,8 @@ def cmd_smp(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    scn, overrides = _load(args)
-    overrides["kind"] = args.kind
-    run = _Run(args, scn, overrides)
+    scn = _load(args)
+    run = _Run(args, scn)
     ens = PathEnsemble.for_scenario(scn)
     try:
         if args.kind == "zero-noise":

@@ -63,11 +63,26 @@ def _step1(stepper: ImplicitStepper, dt: float, y: np.ndarray, drift,
     return stepper.solve1(y + dt * drift + noise)
 
 
+def _noise_axes(psi: np.ndarray, dw: np.ndarray, ndim: int) -> int:
+    """Axes per path of a source psi on dw (L, K): ndim for a noise field
+    (L, ...), ndim + 1 for a deterministic per-mode psi (..., 1, ..., K),
+    probe axes leading.  Any other shape is refused."""
+    shape = np.shape(psi)
+    if len(shape) == ndim:
+        if shape[0] != len(dw):
+            raise ValueError(f"noise field of shape {shape} is not on {len(dw)} paths")
+        return ndim
+    if len(shape) <= ndim or shape[-ndim - 1] != 1 or shape[-1] != dw.shape[1]:
+        raise ValueError(f"per-mode source of shape {shape} needs a path axis "
+                         f"of 1 and {dw.shape[1]} modes")
+    return ndim + 1
+
+
 def _noise(psi: np.ndarray, dw: np.ndarray, ndim: int) -> np.ndarray:
     """Noise term of a source psi of ndim axes per path, on dw (L, K): psi
     itself (a noise field, e.g. omega xi), or sum_k psi_k dW_k by one GEMM
-    for a deterministic per-mode psi (..., 1, ..., K), probe axes leading."""
-    if np.ndim(psi) == ndim:
+    for a deterministic per-mode psi (see _noise_axes)."""
+    if _noise_axes(psi, dw, ndim) == ndim:
         return psi
     out = (dw @ psi.reshape(-1, dw.shape[1]).T).reshape(
         len(dw), *psi.shape[:-ndim - 1], *psi.shape[-ndim:-1])
@@ -80,19 +95,17 @@ def _source(provider: Optional[Callable], k: int):
 
 
 def simulate_state(scn: Scenario, u: ControlProcess, ens: PathEnsemble,
-                   store: bool = True, step_hook: Callable = None) -> Trajectory:
-    """Simulate the controlled state over the ensemble.
+                   step_hook: Callable = None) -> Trajectory:
+    """Simulate and store the controlled state over the ensemble.
 
     step_hook(k, x_k, u_k) is called at every left endpoint before the
-    step, which lets cost-style accumulators run without trajectory
-    storage.
+    step.  Costs are computed without trajectory storage by simulate_costs.
     """
     m, n = ens.n_paths, scn.grid.n
     stepper = _stepper(scn)
     x = np.tile(scn.x0.values, (m, 1))
-    values = np.empty((scn.n_t + 1, m, n)) if store else None
-    if store:
-        values[0] = x
+    values = np.empty((scn.n_t + 1, m, n))
+    values[0] = x
     for k in range(scn.n_t):
         uk = u.evaluate(k, scn, x)
         if step_hook is not None:
@@ -100,8 +113,7 @@ def simulate_state(scn: Scenario, u: ControlProcess, ens: PathEnsemble,
         x = _step1(stepper, scn.dt, x, scn.coeffs.b(x, uk),
                    scn.coeffs.sigma(x, uk) * scn.noise_field(ens.dW[:, k]))
         _check_finite(x, k + 1)
-        if store:
-            values[k + 1] = x
+        values[k + 1] = x
     return Trajectory(values, x)
 
 
@@ -203,7 +215,7 @@ def simulate_tensor(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
         ub = ubar.evaluate(k, scn, x)
         sx, bx, xi = (scn.coeffs.sigma_x(x, ub), scn.coeffs.b_x(x, ub),
                       scn.noise_field(dw))
-        nd = 3 if np.ndim(psik) == 3 else 4  # psi a noise field, or per mode
+        nd = 3 if psik is None else _noise_axes(psik, dw, 3)  # before cutting
         # without a probe axis the state is rebound, so a hook may keep it
         new = Y if Y.ndim == 4 else np.empty_like(Y)
         for c in chunks:

@@ -86,7 +86,7 @@ def check_duality1(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
     of the sources with the adjoint pair, on common noise.
     """
     m, h, dt = ens.n_paths, scn.grid.h, scn.dt
-    xbar = simulate_state(scn, ubar, ens, store=True)
+    xbar = simulate_state(scn, ubar, ens)
     rhs_acc = np.zeros((len(probes), m))
 
     def backward_hook(k, p, q):
@@ -146,7 +146,7 @@ def check_duality2(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
     pairing of the probe sources with (P, Q).
     """
     m, h, dt = ens.n_paths, scn.grid.h, scn.dt
-    xbar = simulate_state(scn, ubar, ens, store=True)
+    xbar = simulate_state(scn, ubar, ens)
     pair1 = solve_adjoint1(scn, xbar, ubar, ens, store=True)
     # probes on a leading axis (J, 1, ...): one sweep marches every response
     phis = np.stack([Phi for Phi, _ in probes], axis=1)[:, :, None]
@@ -183,7 +183,7 @@ def check_tensor_identity(scn: Scenario, ubar: ControlProcess, v, tau: float,
                           eps: float, ens: PathEnsemble) -> dict:
     """Pathwise consistency of the product process: its terminal value must
     agree with the outer square of the first-order spike response."""
-    xbar = simulate_state(scn, ubar, ens, store=True)
+    xbar = simulate_state(scn, ubar, ens)
     ueps = SpikeControl(ubar, v, tau, eps)
     ueps.validate_horizon(scn.T)
     phi, psi = spike_sources(scn, xbar, ubar, ueps, ens)
@@ -329,17 +329,16 @@ class SMPReport:
 
 
 def smp_scan(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
-             eta: float, n_times: int = 8) -> SMPReport:
-    """Evaluate the maximum-principle gap over the control lattice at
-    interior sample times, using both adjoint pairs along the reference.
+             eta: float) -> SMPReport:
+    """Evaluate the maximum-principle gap over the control lattice at up to
+    eight interior sample times, using both adjoint pairs along the reference.
 
     The reported scale is the ensemble-mean Hamiltonian magnitude at the
     reference control, averaged over the sampled times; gap thresholds are
     meant to be read relative to it.
     """
-    steps = np.unique(np.linspace(0, scn.n_t - 1, n_times + 2,
-                                  dtype=int)[1:-1])
-    xbar = simulate_state(scn, ubar, ens, store=True)
+    steps = np.unique(np.linspace(0, scn.n_t - 1, 10, dtype=int)[1:-1])
+    xbar = simulate_state(scn, ubar, ens)
     pair1 = solve_adjoint1(scn, xbar, ubar, ens, store=True)
     pair2 = solve_adjoint2_mollified(scn, xbar, ubar, ens, pair1, eta,
                                      store_steps=set(int(s) for s in steps))
@@ -424,11 +423,11 @@ def brute_force_search(scn: Scenario, candidates, ens: PathEnsemble,
 
 # -- independent oracles ----------------------------------------------------
 
-def _fine_dt(scn: Scenario, safety: float = 8.0):
-    """Explicit-Euler-stable fine step for the stiff linear part and the
-    number of substeps per coarse step."""
+def _fine_dt(scn: Scenario):
+    """Explicit-Euler-stable fine step for the stiff linear part, with a
+    safety factor of 8, and the number of substeps per coarse step."""
     lam_max = 4.0 / scn.grid.h ** 2
-    n_sub = max(4, int(np.ceil(scn.dt * lam_max * safety / 2.0)))
+    n_sub = max(4, int(np.ceil(scn.dt * lam_max * 8.0 / 2.0)))
     return scn.dt / n_sub, n_sub
 
 
@@ -593,14 +592,14 @@ def oracle_zero_noise(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
     oracle: sup-norm error relative to the oracle's sup norm, p over every
     step and P at four stored steps."""
     oracle = zero_noise_oracle(scn, ubar, eta=eta)
-    xbar = simulate_state(scn, ubar, ens, store=True)
-    pair1 = solve_adjoint1(scn, xbar, ubar, ens, method="mean")
+    xbar = simulate_state(scn, ubar, ens)
+    pair1 = solve_adjoint1(scn, xbar, ubar, ens)
     p_mean = pair1.p.mean(axis=1)
     scale_p = np.abs(oracle["p"]).max()
     rel_p = np.abs(p_mean - oracle["p"]).max() / scale_p
     steps = sorted({0, scn.n_t // 4, scn.n_t // 2, 3 * scn.n_t // 4})
     pair2 = solve_adjoint2_mollified(scn, xbar, ubar, ens, pair1, eta,
-                                     method="mean", store_steps=steps)
+                                     store_steps=steps)
     scale_P = np.abs(oracle["P"]).max()
     rel_P = max(float(np.abs(pair2.stored_steps[k].mean(axis=0)
                              - oracle["P"][k]).max()) / scale_P
@@ -615,7 +614,7 @@ def oracle_ansatz(scn: Scenario, ubar: ControlProcess,
     q is pure martingale noise at per-step resolution, so its error is
     reported for reference and not scored."""
     oracle = affine_ansatz_oracle(scn, ubar)
-    xbar = simulate_state(scn, ubar, ens, store=True)
+    xbar = simulate_state(scn, ubar, ens)
     pair1 = solve_adjoint1(scn, xbar, ubar, ens)
     h = scn.grid.h
     p_mean = pair1.p.mean(axis=1)

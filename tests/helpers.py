@@ -66,7 +66,7 @@ def sweep_cost(scn, u, ens):
     def hook(k, x, uk):
         acc[:] += scn.dt * scn.grid.h * np.sum(scn.coeffs.l(x, uk), axis=-1)
 
-    traj = simulate_state(scn, u, ens, store=False, step_hook=hook)
+    traj = simulate_state(scn, u, ens, step_hook=hook)
     return _finalize_cost(scn, acc, traj.final)
 
 
@@ -160,8 +160,7 @@ def qcouple(sx, Qk):
     return out
 
 
-def lockstep_sweep2(scn, xbar, ubar, ens, pair1, Ps, method, store_steps,
-                    step_hook):
+def lockstep_sweep2(scn, xbar, ubar, ens, pair1, Ps, store_steps, step_hook):
     """adjoint._sweep2 before path chunking: every width's whole (M, n, n)
     P marches in lockstep from the terminals Ps, which end holding P_0.  The
     per-node arithmetic is the kernel's: one GEMM lifts [Mk | A | B] and
@@ -173,7 +172,7 @@ def lockstep_sweep2(scn, xbar, ubar, ens, pair1, Ps, method, store_steps,
     from spde_control.forward import _stepper, tensor_multiplier
     from spde_control.operators import SpectralBasis, sobolev_norms_batch
 
-    fit, diag = _step_fit(scn, ens.n_paths, method)
+    fit, diag = _step_fit(scn, ens.n_paths)
     stepper = _stepper(scn)
     basis2 = SpectralBasis.build(scn.grid.square(), scn.op)
     m, n, K, h, dt = ens.n_paths, scn.grid.n, scn.n_modes, scn.grid.h, scn.dt
@@ -189,8 +188,6 @@ def lockstep_sweep2(scn, xbar, ubar, ens, pair1, Ps, method, store_steps,
         x = xbar[k]
         uk = ubar.evaluate(k, scn, x)
         Qr = fit(x)
-        if Qr is None:
-            Qr = np.full((m, 1), m ** -0.5)
         design = (np.column_stack([np.ones(m), ens.dW[:, k]])[:, :, None]
                   * Qr[:, None, :]).reshape(m, -1)
         sx = scn.coeffs.sigma_x(x, uk)
@@ -224,8 +221,7 @@ def lockstep_sweep2(scn, xbar, ubar, ens, pair1, Ps, method, store_steps,
     return stats, cauchy_sq, stored, diag
 
 
-def reference_sweep2(scn, xbar, ubar, ens, pair1, Ps, method, store_steps,
-                     step_hook):
+def reference_sweep2(scn, xbar, ubar, ens, pair1, Ps, store_steps, step_hook):
     """lockstep_sweep2 with one regression per target: the martingale
     target is the (M, K, n, n) product P dW, each target is projected by
     its own tensordot pair, and P = Mk + dt (c Mk + qcouple + source)."""
@@ -233,7 +229,7 @@ def reference_sweep2(scn, xbar, ubar, ens, pair1, Ps, method, store_steps,
     from spde_control.forward import _stepper
     from spde_control.operators import SpectralBasis, sobolev_norms_batch
 
-    fit, diag = _step_fit(scn, ens.n_paths, method)
+    fit, diag = _step_fit(scn, ens.n_paths)
     stepper = _stepper(scn)
     basis2 = SpectralBasis.build(scn.grid.square(), scn.op)
     h, dt = scn.grid.h, scn.dt

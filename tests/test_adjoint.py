@@ -8,7 +8,7 @@ import pytest
 from helpers import (lockstep_sweep2, make_scenario, qcouple, reference_sweep2,
                      terminal_distance)
 from spde_control import adjoint, forward
-from spde_control.adjoint import (RegressionBasis, RegressionError,
+from spde_control.adjoint import (BackwardPair1, RegressionBasis, RegressionError,
                                   _lift_coefficients, _project, _smoothed, solve_adjoint1,
                                   solve_adjoint2_limit, solve_adjoint2_mollified)
 from spde_control.ensemble import PathEnsemble
@@ -20,10 +20,10 @@ from spde_control.operators import (EllipticOperator, ImplicitStepper,
 from spde_control.verify import affine_ansatz_oracle, zero_noise_oracle
 
 
-def _solved(scn, n_paths, method="regress"):
+def _solved(scn, n_paths):
     ens = PathEnsemble.for_scenario(scn, n_paths=n_paths)
     xbar = simulate_state(scn, scn.base_control, ens)
-    pair1 = solve_adjoint1(scn, xbar, scn.base_control, ens, method=method)
+    pair1 = solve_adjoint1(scn, xbar, scn.base_control, ens)
     return ens, xbar, pair1
 
 
@@ -92,9 +92,25 @@ def test_too_many_features_for_the_ensemble_is_refused():
         solve_adjoint1(scn, xbar, scn.base_control, ens)
 
 
+@pytest.mark.parametrize("m", [2, 30, 100])
+def test_noisy_first_order_solve_needs_twenty_paths_per_kept_column(m):
+    # a noisy state keeps all 9 columns, or M of them if fewer: more than
+    # max(M // 20, 1) either way
+    scn = make_scenario("bilinear", n=8, n_t=8)
+    ens = PathEnsemble.for_scenario(scn, n_paths=m)
+    xbar = simulate_state(scn, scn.base_control, ens)
+    with pytest.raises(RegressionError, match=rf"keeps {min(m, 9)} columns for "
+                                              rf"{m} paths; need M >= 20 F"):
+        solve_adjoint1(scn, xbar, scn.base_control, ens)
+
+
 def test_second_order_sweeps_refuse_too_many_features():
     scn = make_scenario("bilinear", n=8, n_t=8)
-    ens, xbar, pair1 = _solved(scn, 100, method="mean")
+    ens = PathEnsemble.for_scenario(scn, n_paths=100)
+    xbar = simulate_state(scn, scn.base_control, ens)
+    m, n, K = ens.n_paths, scn.grid.n, scn.n_modes
+    pair1 = BackwardPair1(np.zeros((scn.n_t + 1, m, n)),
+                          np.zeros((scn.n_t, m, n, K)), np.zeros((m, n)))
     assert RegressionBasis(scn.grid, scn.op).n_features > ens.n_paths // 20
     h2 = scn.grid.h ** 2
     with pytest.raises(RegressionError, match="need M"):
@@ -121,7 +137,7 @@ def test_zero_noise_martingale_component_is_sampling_noise():
     scn = make_scenario("additive", n=8, n_t=32, noise_amp=0.0, shapes=False,
                         K=1)
     m = 4000
-    _, _, pair1 = _solved(scn, m, method="mean")
+    _, _, pair1 = _solved(scn, m)
     bound = 4.0 * np.abs(pair1.p).max() / np.sqrt(m * scn.dt)
     assert np.max(np.abs(pair1.q)) < bound
 
@@ -129,7 +145,7 @@ def test_zero_noise_martingale_component_is_sampling_noise():
 def test_first_order_matches_zero_noise_oracle():
     scn = make_scenario("additive", a=0.0, b=2.0, n=12, n_t=256, T=0.25,
                         base=(0.5,), noise_amp=0.0, shapes=False, K=1)
-    _, _, pair1 = _solved(scn, 2, method="mean")
+    _, _, pair1 = _solved(scn, 2)
     oracle = zero_noise_oracle(scn, scn.base_control)
     scale = np.abs(oracle["p"]).max()
     rel = np.abs(pair1.p.mean(axis=1) - oracle["p"]).max() / scale
@@ -207,9 +223,9 @@ def test_second_order_matches_zero_noise_oracle():
     scn = make_scenario("additive", a=0.0, b=2.0, n=12, n_t=256, T=0.25,
                         base=(0.5,), noise_amp=0.0, shapes=False, K=1)
     eta = 4.0 * scn.grid.h ** 2
-    ens, xbar, pair1 = _solved(scn, 2, method="mean")
+    ens, xbar, pair1 = _solved(scn, 2)
     pair2 = solve_adjoint2_mollified(scn, xbar, scn.base_control, ens, pair1,
-                                     eta, method="mean", store_steps={0, 128})
+                                     eta, store_steps={0, 128})
     oracle = zero_noise_oracle(scn, scn.base_control, eta=eta)
     scale = np.abs(oracle["P"]).max()
     for k in (0, 128):
@@ -239,13 +255,16 @@ def _rel(out, ref):
                  / np.max(np.abs(ref)))
 
 
-def _sweep_runs(K, method):
+def _sweep_runs(K, noise):
     """The streamed sweep (three widths, steps {0, 5, n_t} stored, hook on)
-    and the lockstep and per-target references from the same terminals.
-    Each run is (P_0, stats, increments, distances, stored, hook values),
-    the hook values lifted to (M, n, n) and (M, n, n, K)."""
-    scn = make_scenario("bilinear", n=8, n_t=16, K=K, shapes=K > 1)
-    ens, xbar, pair1 = _solved(scn, 300, method=method)
+    and the lockstep and per-target references from the same terminals,
+    on the bilinear scenario or, noise "zero", its deterministic version
+    (whose fits keep the one constant column).  Each run is (P_0, stats,
+    increments, distances, stored, hook values), the hook values lifted to
+    (M, n, n) and (M, n, n, K)."""
+    amp = dict(noise_base=0.0, noise_coupling=0.0) if noise == "zero" else {}
+    scn = make_scenario("bilinear", n=8, n_t=16, K=K, shapes=K > 1, **amp)
+    ens, xbar, pair1 = _solved(scn, 300)
     ubar, h2 = scn.base_control, scn.grid.h ** 2
     etas = [16 * h2, 8 * h2, 4 * h2]
     steps = {0, 5, scn.n_t}
@@ -253,7 +272,7 @@ def _sweep_runs(K, method):
     def streamed():
         hooks = []
         P0, stats, cauchy_sq, dists, stored, _ = adjoint._sweep2(
-            scn, xbar, ubar, ens, pair1, etas, method, steps,
+            scn, xbar, ubar, ens, pair1, etas, steps,
             lambda k, Qr, S, SQ: hooks.append(
                 (np.tensordot(Qr, S, axes=1),
                  np.moveaxis(np.tensordot(Qr, SQ, axes=1), 1, 3))))
@@ -265,7 +284,7 @@ def _sweep_runs(K, method):
         dists = [terminal_distance(scn, xbar.final, P) for P in Ps]
         hooks = []
         stats, cauchy_sq, stored, _ = sweep(
-            scn, xbar, ubar, ens, pair1, Ps, method, steps,
+            scn, xbar, ubar, ens, pair1, Ps, steps,
             lambda k, Mk, Qk: hooks.append((Mk.copy(), Qk.copy())))
         stored.setdefault(scn.n_t, mollified_terminal_batch(
             xbar.final, scn.coeffs.h_xx, scn.grid, etas[-1]))
@@ -290,24 +309,24 @@ def _assert_runs_agree(run, ref, equal):
         assert close(Mk, rMk) and close(Qk, rQk)
 
 
-@pytest.mark.parametrize("method", ["regress", "mean"])
+@pytest.mark.parametrize("noise", ["noisy", "zero"])
 @pytest.mark.parametrize("K", [1, 2])
-def test_one_gemm_sweep_matches_per_target_reference(method, K):
+def test_one_gemm_sweep_matches_per_target_reference(noise, K):
     # one GEMM per width fits the P target and every martingale target; the
     # reference regresses each target separately and steps Mk + dt (c Mk +
     # ...): the two agree to rounding on everything the kernel reports
-    streamed, reference = _sweep_runs(K, method)
+    streamed, reference = _sweep_runs(K, noise)
     run, ref = streamed(), reference(reference_sweep2)
     _assert_runs_agree(run, ref, equal=False)
     assert len(run[5]) == 16 and run[5][0][1].shape == (300, 8, 8, K)
 
 
-@pytest.mark.parametrize("method", ["regress", "mean"])
+@pytest.mark.parametrize("noise", ["noisy", "zero"])
 @pytest.mark.parametrize("K", [1, 2])
-def test_streamed_sweep_matches_lockstep_reference(monkeypatch, method, K):
+def test_streamed_sweep_matches_lockstep_reference(monkeypatch, noise, K):
     # one chunk holds the ensemble: the lockstep arithmetic, bit for bit;
     # ragged chunks (37 paths, the last 4) move sums by rounding only
-    streamed, reference = _sweep_runs(K, method)
+    streamed, reference = _sweep_runs(K, noise)
     lockstep = reference(lockstep_sweep2)
     assert len(forward.path_chunks(300, 8)) == 1
     _assert_runs_agree(streamed(), lockstep, equal=True)
@@ -329,9 +348,11 @@ def test_terminal_can_be_stored_as_step_n_t():
     assert np.array_equal(pair2.stored_steps[scn.n_t], PT)
 
 
-def test_mean_method_solves_one_block(monkeypatch):
-    # the ensemble mean is one block: the resolvent must not solve M copies
-    scn = make_scenario("bilinear", n=8, n_t=16)
+def test_deterministic_state_fits_one_column(monkeypatch):
+    # without noise every fit keeps the constant column alone: the
+    # conditional mean is the ensemble mean, solved as one block
+    scn = make_scenario("bilinear", n=8, n_t=16, noise_base=0.0,
+                        noise_coupling=0.0)
     ens = PathEnsemble.for_scenario(scn, n_paths=50)
     xbar = simulate_state(scn, scn.base_control, ens)
     sizes = []
@@ -343,11 +364,12 @@ def test_mean_method_solves_one_block(monkeypatch):
             return orig(self, rhs)
 
         monkeypatch.setattr(ImplicitStepper, name, record)
-    pair1 = solve_adjoint1(scn, xbar, scn.base_control, ens, method="mean")
+    pair1 = solve_adjoint1(scn, xbar, scn.base_control, ens)
     pair2 = solve_adjoint2_mollified(scn, xbar, scn.base_control, ens, pair1,
-                                     eta=4.0 * scn.grid.h ** 2, method="mean")
+                                     eta=4.0 * scn.grid.h ** 2)
     assert len(sizes) == 4 * scn.n_t
     assert set(sizes) == {1}
+    assert pair1.diagnostics["min_rank"] == pair2.diagnostics["min_rank"] == 1
     assert pair1.p.shape == (scn.n_t + 1, 50, 8)
     assert pair2.P0.shape == (50, 8, 8)
 
@@ -399,12 +421,3 @@ def test_terminal_distance_decreases_with_width():
         xbar.final, scn.coeffs.h_xx, scn.grid, c * h2)) for c in (16, 8, 4)]
     assert dists[0] > dists[1] > dists[2] > 0.0
 
-
-def test_unknown_method_rejected():
-    scn = make_scenario("bilinear", n=8, n_t=8)
-    ens, xbar, pair1 = _solved(scn, 200)
-    with pytest.raises(ValueError, match="method"):
-        solve_adjoint1(scn, xbar, scn.base_control, ens, method="krige")
-    with pytest.raises(ValueError, match="method"):
-        solve_adjoint2_mollified(scn, xbar, scn.base_control, ens, pair1,
-                                 eta=scn.grid.h ** 2, method="krige")

@@ -64,6 +64,26 @@ def test_seed_override_lands_in_run_directory_and_manifest(tmp_path, capsys):
     assert "override.seed=21" in manifest
 
 
+@pytest.mark.parametrize("command, flag, values", [
+    ("adjoint", "--order", ("1", "2")),
+    ("oracle", "--eta", ("4h2", "8h2")),
+])
+def test_runs_that_differ_in_one_flag_differ_in_the_manifest(
+        tmp_path, capsys, command, flag, values):
+    # the manifest is written before computing, so 50 paths (too few for
+    # the bilinear regression, exit 1) show all a run reads
+    manifests = []
+    for i, value in enumerate(values):
+        out = tmp_path / str(i)
+        run(capsys, command, "--scenario", fixture("bilinear.cfg"),
+            "--paths", "50", flag, value, "--out", str(out))
+        text = (out / f"{command}-bilinear-s7" / "manifest.txt").read_text()
+        assert f"override.{flag[2:]}={value}\n" in text
+        manifests.append([ln for ln in text.splitlines()
+                          if not ln.startswith(("timestamp=", "output_dir="))])
+    assert manifests[0] != manifests[1]
+
+
 def test_simulate_is_byte_deterministic(tmp_path, capsys):
     args = ("simulate", "--scenario", fixture("bilinear.cfg"),
             "--paths", "50")

@@ -101,7 +101,9 @@ def test_state_noise_with_three_modes_within_rounding():
 def test_unstored_trajectory_refuses_indexing():
     scn = _det_scn(n=4, n_t=4)
     ens = PathEnsemble.for_scenario(scn, n_paths=1)
-    traj = simulate_state(scn, scn.base_control, ens, store=False)
+    xbar = simulate_state(scn, scn.base_control, ens)
+    traj = simulate_linear(scn, xbar, scn.base_control, ens,
+                           phi=lambda k: 1.0, store=False)
     assert traj.final.shape == (1, 4)
     with pytest.raises(ValueError):
         traj[0]
@@ -161,6 +163,30 @@ def test_first_variation_vanishes_without_a_spike():
     phi, psi = spike_sources(scn, xbar, scn.base_control, ueps, ens)
     y = simulate_linear(scn, xbar, scn.base_control, ens, phi=phi, psi=psi)
     assert np.max(np.abs(y.values)) == 0.0
+
+
+@pytest.mark.parametrize("K", [2, 8])
+def test_misshaped_noise_sources_are_refused(K):
+    # a per-mode source without its path axis, (n, K) or (n, n, K), would
+    # read as a noise field (with K = n silently); a per-mode source needs
+    # a unit path axis and K modes, a noise field the paths
+    scn = make_scenario("bilinear", n=8, n_t=4, K=K)
+    m, n = 30, scn.grid.n
+    ens = PathEnsemble.for_scenario(scn, n_paths=m)
+    ubar = scn.base_control
+    xbar = simulate_state(scn, ubar, ens)
+    ones = np.ones
+    for kernel, ndim in ((simulate_linear, 1), (simulate_tensor, 2)):
+        space = (n,) * ndim
+        for shape, kind in (((*space, K), "noise field"),
+                            ((1, *space, K + 1), "per-mode source"),
+                            ((m, *space, K), "per-mode source"),
+                            ((m + 1, *space), "noise field"),
+                            ((1, *space), "noise field")):
+            with pytest.raises(ValueError, match=rf"{kind} of shape \({shape[0]}, "):
+                kernel(scn, xbar, ubar, ens, psi=lambda k: ones(shape))
+        kernel(scn, xbar, ubar, ens, psi=lambda k: ones((1, *space, K)))
+        kernel(scn, xbar, ubar, ens, psi=lambda k: ones((m, *space)))
 
 
 def test_tensor_simulation_preserves_symmetry():
@@ -349,7 +375,7 @@ def test_cost_sweep_returns_the_terminal_state():
     scn = make_scenario("bilinear", n=8, n_t=32)
     ens = PathEnsemble.for_scenario(scn, n_paths=25)
     est = simulate_cost(scn, scn.base_control, ens)
-    traj = simulate_state(scn, scn.base_control, ens, store=False)
+    traj = simulate_state(scn, scn.base_control, ens)
     assert np.array_equal(est.final, traj.final)
 
 
@@ -393,7 +419,7 @@ def test_cost_raises_the_blow_up():
         with pytest.raises(BlowUpError) as exc:
             simulate_cost(scn, scn.base_control, ens)
         with pytest.raises(BlowUpError) as ref:
-            simulate_state(scn, scn.base_control, ens, store=False)
+            simulate_state(scn, scn.base_control, ens)
     assert exc.value.step == ref.value.step == 2
 
 
@@ -503,6 +529,6 @@ def test_block_control_applies_per_step():
     u = DeterministicControl.from_blocks([(0.0,), (1.0,)], scn.n_t)
     ens = PathEnsemble.for_scenario(scn, n_paths=1)
     applied = []
-    simulate_state(scn, u, ens, store=False,
+    simulate_state(scn, u, ens,
                    step_hook=lambda k, x, uk: applied.append(uk[0]))
     assert applied == [0.0, 0.0, 1.0, 1.0]

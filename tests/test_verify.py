@@ -138,8 +138,7 @@ def test_hamiltonian_matches_direct_sum():
 def test_smp_scan_shapes_and_scale():
     scn = make_scenario("bilinear", n=8, n_t=32)
     ens = PathEnsemble.for_scenario(scn, n_paths=300)
-    rep = smp_scan(scn, scn.base_control, ens, 4.0 * scn.grid.h ** 2,
-                   n_times=4)
+    rep = smp_scan(scn, scn.base_control, ens, 4.0 * scn.grid.h ** 2)
     assert rep.mean_gaps.shape == (len(rep.sample_steps), len(rep.lattice))
     assert rep.scale > 0.0
     assert all(0 < k < scn.n_t for k in rep.sample_steps)
