@@ -12,8 +12,13 @@ The second-order pair lives on the square; its terminal condition is the
 heat-kernel mollification of the diagonal curvature distribution.  A single
 width (solve_adjoint2_mollified) and a vanishing-width ladder
 (solve_adjoint2_limit) run one backward kernel that marches every width in
-lockstep over path chunks, keeping P between steps in coefficient form, so
-no (M, n, n) array lives but P_0 and the steps asked for.  The first-order
+lockstep, keeping P between steps in coefficient form, so no (M, n, n)
+array lives but P_0 and the steps asked for.  Each step picks one of two
+arms: when b_x, sigma_x and the curvature are exactly equal on every path,
+P = Qr T + D, and the fit, norms and increments are taken from T and D
+(coefficient arm); otherwise P is rebuilt over path chunks (chunk arm).
+The asymmetry diagnostic is max |P - P^T| over the paths in either arm,
+lifted as Qr (T - T^T) in the first.  The first-order
 and the single-width solvers expose a step hook (on the square, in
 coefficient form) so that pairings with forward sources can be accumulated
 during the sweep without storing the backward trajectory.
@@ -29,7 +34,8 @@ from scipy.linalg import qr
 from .ensemble import PathEnsemble
 from .forward import Trajectory, _stepper, path_chunks, tensor_multiplier
 from .operators import (EllipticOperator, SpectralBasis, add_diagonal,
-                        mollified_terminal_batch, sobolev_norms_batch)
+                        lifted_sobolev_sums, mollified_terminal_batch,
+                        sobolev_norms_batch)
 from .scenario import ControlProcess, Scenario
 
 GRAM_CONDITION_LIMIT = 1e10
@@ -69,13 +75,17 @@ def _project(feats: np.ndarray):
     fewer directions than there are features -- carry no information and
     are pruned.  Returns an orthonormal basis Qr (M, keep) of the retained
     columns (the projection is Qr Qr^T) and their Gram condition; if that
-    exceeds the limit, the regression is refused.
+    exceeds the limit, the regression is refused.  When no column varies,
+    Qr is the constant column -1/sqrt(M) (equal rows; the sign a Householder
+    QR gives) with condition 1, and no QR runs.
     """
     m = feats.shape[0]
     std = feats.std(axis=0)
     mean = feats.mean(axis=0)
     live = std > 1e-10 * (1.0 + np.abs(mean))
     live[0] = False  # constant column handled via centering
+    if not live.any():  # a deterministic state: the ensemble mean
+        return np.full((m, 1), -1.0 / np.sqrt(m)), 1.0
     design = np.empty((m, 1 + int(live.sum())))
     design[:, 0] = 1.0
     design[:, 1:] = (feats[:, live] - mean[live]) / std[live]
@@ -204,21 +214,39 @@ class BackwardPair2:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _same_on_every_path(*fields) -> bool:
+    """Whether each per-node field (M, n) equals its first row exactly."""
+    return all(bool(np.all(f == f[:1])) for f in fields)
+
+
 def _sweep2(scn, xbar, ubar, ens, pair1, etas, store_steps, step_hook):
     """Backward sweep of the mollified second-order pair from the terminals
-    at the widths etas, every width marching in lockstep over path chunks
-    (forward.path_chunks).  Between steps P_{k+1} stays in coefficient form:
-    the fit Qr, the per-node b_x, sigma_x and curvature (whose diagonal
-    embedding is the source) at step k + 1, and per width [S | A | B]
-    (_lift_coefficients) from the resolved fits S of P and SQ of P dW.  One
-    pass over the chunks rebuilds every width's P_{k+1} once, only to
-    accumulate step k's fit, the norms, the Cauchy increments between
-    consecutive widths, max_asymmetry and any stored step; the first pass
-    builds the terminals and their distances to the diagonal curvature
-    distribution, the last materializes P_0 of the last width, to which
-    store_steps (n_t names the terminal), step_hook and max_asymmetry
-    apply.  Returns that P_0, the per-width a-priori statistics, squared
-    increments and terminal distances, the stored steps and diagnostics.
+    at the widths etas, every width marching in lockstep.  Between steps
+    P_{k+1} stays in coefficient form: the fit Qr, the per-node b_x, sigma_x
+    and curvature (whose diagonal embedding is the source) at step k + 1,
+    and per width [S | A | B] (_lift_coefficients) from the resolved fits S
+    of P and SQ of P dW.  Each step rebuilds every width's P_{k+1} once, only
+    to accumulate step k's fit, the norms, the Cauchy increments between
+    consecutive widths, max_asymmetry and any stored step, by one of two
+    arms chosen per step:
+
+    - the coefficient arm, when b_x, sigma_x and the curvature are exactly
+      equal (==) on every path: then P_{k+1} = Qr T + D on every path, with
+      T = G1 S + dt (sigma_x,i A + sigma_x,j B) (keep, n, n) per width and D
+      = dt add_diagonal(0, curv, h), so the fit is (design^T Qr) T +
+      (design^T 1) D, the norms are lifted_sobolev_sums, and the increments
+      h^2 |T^i - T^(i+1)|^2; only max_asymmetry, the largest |Qr (T - T^T)|
+      of the last width, and P_0 and the stored steps lift to the paths;
+    - the chunk arm otherwise: one pass over path chunks
+      (forward.path_chunks) lifts [Mk | A | B] and forms the per-path
+      multiplier and source, max_asymmetry being the largest |P - P^T|.
+
+    The first pass builds the terminals chunk by chunk and their distances
+    to the diagonal curvature distribution; the last materializes P_0 of
+    the last width, to which store_steps (n_t names the terminal),
+    step_hook and max_asymmetry apply.  Returns that P_0, the per-width
+    a-priori statistics, squared increments and terminal distances, the
+    stored steps and diagnostics (chunk_steps counts the chunk-arm steps).
     """
     fit, diag = _step_fit(scn, ens.n_paths)
     stepper = _stepper(scn)
@@ -231,13 +259,41 @@ def _sweep2(scn, xbar, ubar, ens, pair1, etas, store_steps, step_hook):
     rate, G1, scratch = np.empty((3, rows, n, n))
     acc = np.zeros((4, W))  # sup H^-1^2, sum dt L2^2, distance, Cauchy^2
     stored, max_asym, lin = {}, 0.0, None  # lin: P_{k+1}, None: the terminal
+    diag["chunk_steps"] = 0
 
-    def march(j, design):
-        """Rebuild P_j of every width by chunks; accumulate stats and fit."""
+    def coefficient_arm(sums, design, sink):
+        """P_j = Qr T + D on every path: stats and fit from T and D."""
         nonlocal max_asym
-        sums = np.zeros((4, W))  # path sums: H^-1^2, L2^2, distance, Cauchy
+        Qr, bx, sx, curv, SAB = lin
+        g1, s = tensor_multiplier(bx[:1], sx[:1], scn.noise_cov, dt)[0], sx[0]
+        T = np.stack([g1 * S + dt * (s[:, None] * A + B * s)
+                      for S, A, B in (x.swapaxes(0, 1) for x in SAB)])
+        D = dt * add_diagonal(np.zeros((n, n)), curv[0], h)
+        col_sums = Qr.sum(axis=0)
+        for i in range(W):
+            sums[:2, i] = lifted_sobolev_sums(T[i], D, col_sums, m, basis2,
+                                              (-1.0, 0.0))
+        sums[3, :-1] = h ** 2 * np.sum((T[:-1] - T[1:]) ** 2, axis=(1, 2, 3))
+        Tl = T[-1].reshape(len(Qr.T), -1)
+        U = Tl - T[-1].swapaxes(1, 2).reshape(Tl.shape)
+        for c in chunks:
+            L = c.stop - c.start
+            a = np.dot(Qr[c], U, out=scratch[:L].reshape(L, -1))
+            max_asym = max(max_asym, float(np.max(np.abs(a, out=a))))
+            if sink is not None:
+                np.dot(Qr[c], Tl, out=sink[c].reshape(L, -1))
+                sink[c] += D
+        if design is None:
+            return None
+        # one small GEMM per width: (design^T [Qr | 1]) [T; D]
+        DQ = design.T @ np.column_stack([Qr, np.ones(m)])
+        return [DQ @ np.vstack([Ti.reshape(len(Ti), -1), D.reshape(1, -1)])
+                for Ti in T]
+
+    def chunk_arm(sums, design, sink):
+        """Rebuild P_j of every width by chunks; stats and fit per chunk."""
+        nonlocal max_asym
         coef = [0.0] * W
-        sink = np.empty((m, n, n)) if j == 0 or j in store_steps else None
         for c in chunks:
             L = c.stop - c.start
             P = Pc[:, :L]
@@ -273,6 +329,18 @@ def _sweep2(scn, xbar, ubar, ens, pair1, etas, store_steps, step_hook):
                     coef[i] += design[c].T @ P[i].reshape(L, -1)
             if sink is not None:
                 sink[c] = P[-1]
+        return coef
+
+    def march(j, design):
+        """Rebuild P_j of every width; accumulate stats, return the fit."""
+        sums = np.zeros((4, W))  # path sums: H^-1^2, L2^2, distance, Cauchy
+        sink = np.empty((m, n, n)) if j == 0 or j in store_steps else None
+        if lin is not None and _same_on_every_path(*lin[1:4]):
+            coef = coefficient_arm(sums, design, sink)
+        else:
+            if lin is not None:
+                diag["chunk_steps"] += 1
+            coef = chunk_arm(sums, design, sink)
         means = sums / m
         if lin is None:  # the terminal: no time step, no increment
             acc[[0, 2]] = means[[0, 2]]

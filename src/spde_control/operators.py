@@ -117,18 +117,42 @@ class SpectralBasis:
         return np.sqrt(self.grid.h) * (np.asarray(values) @ V)
 
 
+def _weighted_squares(c2: np.ndarray, basis: SpectralBasis, gamma):
+    """Squared order-gamma Sobolev norms from squared spectral coefficients
+    c2 (batched over leading axes): the sums of c2 weighted by lambda^gamma;
+    a list with one array per order for a sequence of orders."""
+    lam = basis.pair_eigenvalues() if basis.is_2d else basis.eigenvalues
+    flat = c2.reshape(c2.shape[:c2.ndim - lam.ndim] + (-1,))
+    orders = gamma if np.ndim(gamma) else (gamma,)
+    sq = [flat @ (lam ** g).ravel() for g in orders]
+    return sq if np.ndim(gamma) else sq[0]
+
+
 def sobolev_norms_batch(values: np.ndarray, basis: SpectralBasis, gamma):
     """Per-sample Sobolev norms for a batch of value arrays.
 
     gamma is one order or a sequence of orders; a sequence gets a list
     with one norm array per order, all from a single spectral transform.
     """
-    c2 = basis.coeffs(values) ** 2
-    lam = basis.pair_eigenvalues() if basis.is_2d else basis.eigenvalues
-    flat = c2.reshape(c2.shape[:c2.ndim - lam.ndim] + (-1,))
-    orders = gamma if np.ndim(gamma) else (gamma,)
-    norms = [np.sqrt(flat @ (lam ** g).ravel()) for g in orders]
-    return norms if np.ndim(gamma) else norms[0]
+    sq = _weighted_squares(basis.coeffs(values) ** 2, basis, gamma)
+    return [np.sqrt(s) for s in sq] if np.ndim(gamma) else np.sqrt(sq)
+
+
+def lifted_sobolev_sums(T: np.ndarray, D: np.ndarray, s: np.ndarray, m: int,
+                        basis: SpectralBasis, gamma):
+    """Path sum of the squared Sobolev norms of the batch Qr T + D on the
+    square, from the coefficients alone.
+
+    Qr (m, keep) has orthonormal columns with sums s = Qr^T 1, T is
+    (keep, n, n) and D (n, n).  As Qr^T Qr = 1, the sum over the m paths
+    is sum_a |T_a|^2 + 2 sum_a s_a <T_a, D> + m |D|^2 in the order-gamma
+    product, read through the spectral transform and weights of
+    sobolev_norms_batch; a list for a sequence of orders.
+    """
+    cT, cD = basis.coeffs(T), basis.coeffs(D)
+    c2 = (np.sum(cT ** 2, axis=0) + 2.0 * np.tensordot(s, cT, axes=1) * cD
+          + m * cD ** 2)
+    return _weighted_squares(c2, basis, gamma)
 
 
 # -- diagonal trace and its discrete adjoint --------------------------------

@@ -161,13 +161,13 @@ def qcouple(sx, Qk):
 
 
 def lockstep_sweep2(scn, xbar, ubar, ens, pair1, Ps, store_steps, step_hook):
-    """adjoint._sweep2 before path chunking: every width's whole (M, n, n)
-    P marches in lockstep from the terminals Ps, which end holding P_0.  The
-    per-node arithmetic is the kernel's: one GEMM lifts [Mk | A | B] and
-    P = G1 Mk + dt (sigma_x,i A + sigma_x,j B + source).  step_hook(k, Mk,
-    Qk) gets the lifted pairing values, Qk (M, n, n, K).  Returns the
-    per-width a-priori statistics, the squared increments, the stored steps
-    and the diagnostics."""
+    """adjoint._sweep2 before path chunking, the per-path reference for both
+    of its arms: every width's whole (M, n, n) P marches in lockstep from
+    the terminals Ps, which end holding P_0.  The per-node arithmetic is the
+    chunk arm's: one GEMM lifts [Mk | A | B] and P = G1 Mk + dt (sigma_x,i A
+    + sigma_x,j B + source).  step_hook(k, Mk, Qk) gets the lifted pairing
+    values, Qk (M, n, n, K).  Returns the per-width a-priori statistics, the
+    squared increments, the stored steps and the diagnostics."""
     from spde_control.adjoint import _curvature, _lift_coefficients, _step_fit
     from spde_control.forward import _stepper, tensor_multiplier
     from spde_control.operators import SpectralBasis, sobolev_norms_batch

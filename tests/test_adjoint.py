@@ -255,15 +255,15 @@ def _rel(out, ref):
                  / np.max(np.abs(ref)))
 
 
-def _sweep_runs(K, noise):
+def _sweep_runs(K, noise, preset="bilinear"):
     """The streamed sweep (three widths, steps {0, 5, n_t} stored, hook on)
     and the lockstep and per-target references from the same terminals,
-    on the bilinear scenario or, noise "zero", its deterministic version
+    on the preset's scenario or, noise "zero", its deterministic version
     (whose fits keep the one constant column).  Each run is (P_0, stats,
     increments, distances, stored, hook values), the hook values lifted to
-    (M, n, n) and (M, n, n, K)."""
+    (M, n, n) and (M, n, n, K); the streamed run appends its diagnostics."""
     amp = dict(noise_base=0.0, noise_coupling=0.0) if noise == "zero" else {}
-    scn = make_scenario("bilinear", n=8, n_t=16, K=K, shapes=K > 1, **amp)
+    scn = make_scenario(preset, n=8, n_t=16, K=K, shapes=K > 1, **amp)
     ens, xbar, pair1 = _solved(scn, 300)
     ubar, h2 = scn.base_control, scn.grid.h ** 2
     etas = [16 * h2, 8 * h2, 4 * h2]
@@ -271,12 +271,12 @@ def _sweep_runs(K, noise):
 
     def streamed():
         hooks = []
-        P0, stats, cauchy_sq, dists, stored, _ = adjoint._sweep2(
+        P0, stats, cauchy_sq, dists, stored, diag = adjoint._sweep2(
             scn, xbar, ubar, ens, pair1, etas, steps,
             lambda k, Qr, S, SQ: hooks.append(
                 (np.tensordot(Qr, S, axes=1),
                  np.moveaxis(np.tensordot(Qr, SQ, axes=1), 1, 3))))
-        return P0, stats, np.sqrt(cauchy_sq), dists, stored, hooks
+        return P0, stats, np.sqrt(cauchy_sq), dists, stored, hooks, diag
 
     def reference(sweep):
         Ps = [mollified_terminal_batch(xbar.final, scn.coeffs.h_xx, scn.grid,
@@ -297,8 +297,8 @@ def _assert_runs_agree(run, ref, equal):
     """Bit for bit when equal, else within 1e-12 relative on everything."""
     close = (np.array_equal if equal
              else lambda out, r: _rel(out, r) <= 1e-12)
-    (P0, stats, incs, dists, stored, hooks) = run
-    (rP0, rstats, rincs, rdists, rstored, rhooks) = ref
+    (P0, stats, incs, dists, stored, hooks) = run[:6]
+    (rP0, rstats, rincs, rdists, rstored, rhooks) = ref[:6]
     assert close(P0, rP0)
     assert close(stats, rstats) and close(incs, rincs) and close(dists, rdists)
     assert set(stored) == set(rstored)
@@ -324,17 +324,36 @@ def test_one_gemm_sweep_matches_per_target_reference(noise, K):
 @pytest.mark.parametrize("noise", ["noisy", "zero"])
 @pytest.mark.parametrize("K", [1, 2])
 def test_streamed_sweep_matches_lockstep_reference(monkeypatch, noise, K):
-    # one chunk holds the ensemble: the lockstep arithmetic, bit for bit;
-    # ragged chunks (37 paths, the last 4) move sums by rounding only
+    # the bilinear linearization is the same on every path, so every step
+    # takes the coefficient arm: the lockstep arithmetic up to rounding.
+    # Forced onto the chunk arm, with one chunk holding the ensemble: the
+    # lockstep arithmetic, bit for bit; ragged chunks (37 paths, the last 4)
+    # move sums by rounding only
     streamed, reference = _sweep_runs(K, noise)
     lockstep = reference(lockstep_sweep2)
+    run = streamed()
+    assert run[6]["chunk_steps"] == 0
+    _assert_runs_agree(run, lockstep, equal=False)
+    monkeypatch.setattr(adjoint, "_same_on_every_path", lambda *fields: False)
     assert len(forward.path_chunks(300, 8)) == 1
-    _assert_runs_agree(streamed(), lockstep, equal=True)
+    run = streamed()
+    assert run[6]["chunk_steps"] == 16
+    _assert_runs_agree(run, lockstep, equal=True)
     monkeypatch.setattr(forward, "CHUNK_BYTES", 37 * 8 * 8 * 8)
     assert [c.stop - c.start for c in forward.path_chunks(300, 8)] == [37] * 8 + [4]
     run = streamed()
     _assert_runs_agree(run, lockstep, equal=False)
     _assert_runs_agree(run, reference(reference_sweep2), equal=False)
+
+
+def test_mixed_arm_sweep_matches_lockstep_reference():
+    # logistic drift: b_x, sigma_x and the curvature vary across paths
+    # except at t = 0, where the state is deterministic, so only the step
+    # that builds P_0 takes the coefficient arm
+    streamed, reference = _sweep_runs(2, "noisy", preset="logistic-drift")
+    run = streamed()
+    assert run[6]["chunk_steps"] == 15
+    _assert_runs_agree(run, reference(lockstep_sweep2), equal=False)
 
 
 def test_terminal_can_be_stored_as_step_n_t():
@@ -370,6 +389,11 @@ def test_deterministic_state_fits_one_column(monkeypatch):
     assert len(sizes) == 4 * scn.n_t
     assert set(sizes) == {1}
     assert pair1.diagnostics["min_rank"] == pair2.diagnostics["min_rank"] == 1
+    # the column is exactly constant, with no QR: every path gets the same
+    # adjoints, and every second-order step takes the coefficient arm
+    assert pair1.diagnostics["max_gram_condition"] == 1.0
+    assert np.all(pair1.p == pair1.p[:, :1]) and np.all(pair2.P0 == pair2.P0[:1])
+    assert pair2.diagnostics["chunk_steps"] == 0
     assert pair1.p.shape == (scn.n_t + 1, 50, 8)
     assert pair2.P0.shape == (50, 8, 8)
 

@@ -9,6 +9,7 @@ from spde_control.grids import Field, Grid1D, TensorField
 from spde_control.operators import (EllipticOperator, ImplicitStepper,
                                     MollifierResolutionWarning, SpectralBasis,
                                     add_diagonal, diagonal,
+                                    lifted_sobolev_sums,
                                     mollified_terminal_batch,
                                     sobolev_norms_batch)
 
@@ -242,6 +243,23 @@ def test_multi_order_norms_equal_single_order_calls(is_2d):
     assert len(multi) == len(orders)
     for g, norms in zip(orders, multi):
         assert np.array_equal(norms, sobolev_norms_batch(v, basis, g))
+
+
+def test_lifted_sums_equal_norms_of_the_lifted_batch():
+    # with orthonormal Qr the path sums of the squared norms of Qr T + D
+    # need only T, D and the column sums Qr^T 1
+    m, keep, n = 150, 5, 10
+    gen = _rng(41)
+    basis2 = SpectralBasis.build(Grid1D(0.0, 1.0, n).square())
+    Qr = np.linalg.qr(np.column_stack([np.ones(m),
+                                       gen.normal(size=(m, keep - 1))]))[0]
+    T = gen.normal(size=(keep, n, n))
+    D = add_diagonal(np.zeros((n, n)), gen.normal(size=n), 1.0 / (n + 1))
+    P = np.tensordot(Qr, T, axes=1) + D
+    sums = lifted_sobolev_sums(T, D, Qr.sum(axis=0), m, basis2, (-1.0, 0.0))
+    for g, out in zip((-1.0, 0.0), sums):
+        ref = np.sum(sobolev_norms_batch(P, basis2, g) ** 2)
+        assert abs(out - ref) <= 1e-13 * ref
 
 
 def test_stepper_is_a_contraction():

@@ -9,8 +9,10 @@ from helpers import make_scenario, sweep_cost
 from spde_control import adjoint, verify
 from spde_control.ensemble import PathEnsemble
 from spde_control.forward import BlowUpError, simulate_state
-from spde_control.adjoint import solve_adjoint1, solve_adjoint2_mollified
-from spde_control.verify import (_fit_slope, block_control_candidates,
+from spde_control.adjoint import (solve_adjoint1, solve_adjoint2_limit,
+                                  solve_adjoint2_mollified)
+from spde_control.scenario import DeterministicControl
+from spde_control.verify import (DUALITY_TOL, _fit_slope, block_control_candidates,
                                  brute_force_search, check_duality1,
                                  check_duality2, check_tensor_identity,
                                  hamiltonian, make_random_probes,
@@ -79,6 +81,52 @@ def test_second_order_duality_runs_one_tensor_sweep(monkeypatch):
         row = check_duality2(scn, scn.base_control, ens, eta, [probe]).rows[0]
         for key in ("lhs", "rhs", "lhs_se", "rhs_se"):
             assert row[key] == pytest.approx(rep.rows[j][key], rel=1e-12)
+
+
+def test_second_order_duality_on_a_path_varying_linearization():
+    # logistic drift: b_x, sigma_x and the curvature vary across paths, so
+    # the backward sweep rebuilds P on path chunks at every step but t = 0
+    scn = make_scenario("logistic-drift", n=16, n_t=64)
+    ens = PathEnsemble.for_scenario(scn, n_paths=2000)
+    probes = make_tensor_probes(scn, 3, seed=scn.seed)
+    rep = check_duality2(scn, scn.base_control, ens, 4.0 * scn.grid.h ** 2,
+                         probes)
+    assert rep.passed(DUALITY_TOL[2])
+
+
+@pytest.mark.parametrize("preset", ["bilinear", "additive", "quadratic-cost",
+                                    "logistic-drift"])
+def test_sweeps_take_the_chunk_arm_only_on_path_varying_linearizations(
+        monkeypatch, preset):
+    # under deterministic controls the bilinear, additive and quadratic-cost
+    # linearizations are the same on every path: no step of the duality
+    # check, the SMP scan or the ladder rebuilds P on path chunks
+    chunk_steps = []
+    sweep = adjoint._sweep2
+
+    def record(*args):
+        out = sweep(*args)
+        chunk_steps.append(out[-1]["chunk_steps"])
+        return out
+
+    monkeypatch.setattr(adjoint, "_sweep2", record)
+    scn = make_scenario(preset, n=8, n_t=16)
+    ens = PathEnsemble.for_scenario(scn, n_paths=300)
+    h2 = scn.grid.h ** 2
+    check_duality2(scn, scn.base_control, ens, 4.0 * h2,
+                   make_tensor_probes(scn, 1, seed=scn.seed))
+    lattice = scn.controls.lattice()
+    smp_scan(scn, DeterministicControl.from_blocks(lattice, scn.n_t), ens,
+             4.0 * h2)
+    xbar = simulate_state(scn, scn.base_control, ens)
+    pair1 = solve_adjoint1(scn, xbar, scn.base_control, ens)
+    solve_adjoint2_limit(scn, xbar, scn.base_control, ens, pair1,
+                         etas=[16 * h2, 4 * h2])
+    assert len(chunk_steps) == 3
+    if preset == "logistic-drift":
+        assert all(0 < c < scn.n_t for c in chunk_steps)
+    else:
+        assert chunk_steps == [0, 0, 0]
 
 
 def test_tensor_identity_smoke():
