@@ -26,7 +26,7 @@ from .forward import BlowUpError, simulate_cost, simulate_state
 from .grids import Field, TensorField
 from .scenario import (ConfigError, ENV_OUTDIR, ScenarioValidationError,
                        SpikeControl, load_scenario)
-from .serialize import field_to_csv, tensor_to_csv
+from .serialize import field_to_csv, table_to_csv, tensor_to_csv
 from . import verify
 
 _RATE_STATS = {"y": "y_moment", "z": "z_moment", "residual": "residual",
@@ -107,14 +107,6 @@ class _Run:
             fh.write(text)
 
 
-def _csv(header_cols, rows, note: str) -> str:
-    lines = [f"# spde-control csv v1 {note}", ",".join(header_cols)]
-    for row in rows:
-        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                              for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def _load(args):
     if args.paths is not None and args.paths < 2:
         raise ConfigError(f"--paths must be at least 2, got {args.paths}")
@@ -143,7 +135,7 @@ def cmd_simulate(args) -> int:
         return 1
     mean_T = Field(scn.grid, est.final.mean(axis=0))
     run.write("terminal_mean.csv", field_to_csv(mean_T))
-    run.write("summary.csv", _csv(
+    run.write("summary.csv", table_to_csv(
         ("metric", "value"),
         [("cost_mean", est.mean), ("cost_se", est.se),
          ("paths", float(ens.n_paths))], "simulate summary"))
@@ -190,7 +182,7 @@ def cmd_duality(args) -> int:
             rep = verify.check_duality2(scn, scn.base_control, ens, eta, probes)
     except (BlowUpError, RegressionError) as exc:
         return _failed(f"duality{args.order}", exc, tol)
-    run.write("duality.csv", _csv(
+    run.write("duality.csv", table_to_csv(
         ("probe", "lhs", "rhs", "gap", "lhs_se", "rhs_se"),
         [(r["probe"], r["lhs"], r["rhs"], r["gap"], r["lhs_se"], r["rhs_se"])
          for r in rep.rows], f"duality order={args.order}"))
@@ -227,8 +219,8 @@ def cmd_rates(args) -> int:
         stat = _RATE_STATS[kind]
         for e, val, se in zip(rep.eps, rep.stats[stat], rep.ses[stat]):
             rows.append((kind, float(e), float(val), float(se)))
-    run.write("rates.csv", _csv(("kind", "eps", "value", "se"), rows,
-                                "spike expansion moments"))
+    run.write("rates.csv", table_to_csv(("kind", "eps", "value", "se"), rows,
+                                        "spike expansion moments"))
     srows, all_ok = [], True
     for kind in kinds:
         stat = _RATE_STATS[kind]
@@ -242,7 +234,7 @@ def cmd_rates(args) -> int:
         all_ok &= _verdict(f"rates-{kind}", ok, float(slope), thr, note)
         srows.append((kind, slope, lo, hi, thr,
                       "undefined" if note and ok else ("pass" if ok else "fail")))
-    run.write("slopes.csv", _csv(
+    run.write("slopes.csv", table_to_csv(
         ("kind", "slope", "ci_lo", "ci_hi", "threshold", "status"), srows,
         "log-log slope fits, 95% CI"))
     return 0 if all_ok else 1
@@ -262,7 +254,7 @@ def cmd_smp(args) -> int:
         for vi in range(len(rep.lattice)):
             rows.append((k, vi, rep.mean_gaps[si, vi], rep.se_gaps[si, vi],
                          rep.p05_gaps[si, vi]))
-    run.write("gaps.csv", _csv(
+    run.write("gaps.csv", table_to_csv(
         ("step", "control_index", "mean_gap", "se", "p05"), rows,
         f"maximum-principle gap scan, scale={rep.scale:.6g}"))
     ok = _verdict("smp", rep.passed(), rep.min_rel_gap, verify.SMP_TOL)
@@ -282,7 +274,7 @@ def cmd_oracle(args) -> int:
     except (BlowUpError, RegressionError, ValueError, RuntimeError) as exc:
         return _failed(f"oracle-{args.kind}", exc,
                        verify.ORACLE_TOL[args.kind])
-    run.write("oracle.csv", _csv(
+    run.write("oracle.csv", table_to_csv(
         ("quantity", "relative_error", "tolerance", "status"), rep.rows,
         f"oracle comparison kind={args.kind}"))
     ok = _verdict(f"oracle-{args.kind}", rep.ok, rep.worst, rep.tolerance)

@@ -4,10 +4,11 @@ and the product process on the square.
 
 Time stepping is semi-implicit Euler-Maruyama, implicit only in the linear
 elliptic part: (I - dt A) x_{k+1} = x_k + dt drift(x_k) + diffusion(x_k) dW_k.
-Each step draws one noise field xi = dW_k E^T, and both sourced linear
-kernels (simulate_linear, simulate_tensor) fold the linearization into one
-per-node multiplier per step, take source providers k -> arrays and march
-probes stacked on a leading axis in one step-major sweep.
+Each step draws one noise field xi = dW_k E^T.  One kernel, _sourced,
+marches the sourced linear equations on the interval (simulate_linear) and
+the square (simulate_tensor): it folds the linearization into one per-node
+multiplier per step and path chunk, takes source providers k -> arrays and
+updates probes stacked on a leading axis in place, step-major.
 simulate_costs walks many controls as a trie, simulating a shared prefix once.
 All simulations of one experiment share a PathEnsemble (common random
 numbers) and are vectorized over paths; reductions run in fixed order so
@@ -58,8 +59,7 @@ def _check_finite(x: np.ndarray, step: int):
 
 def _step1(stepper: ImplicitStepper, dt: float, y: np.ndarray, drift,
            noise) -> np.ndarray:
-    """One semi-implicit step on the interval from the explicit parts; a
-    linearized equation passes g y, g = 1 + dt b_x + sigma_x xi, as y."""
+    """One semi-implicit step on the interval from the explicit parts."""
     return stepper.solve1(y + dt * drift + noise)
 
 
@@ -89,11 +89,6 @@ def _noise(psi: np.ndarray, dw: np.ndarray, ndim: int) -> np.ndarray:
     return np.moveaxis(out, 0, -ndim)
 
 
-def _source(provider: Optional[Callable], k: int):
-    """The source of an optional provider at step k; None means zero."""
-    return None if provider is None else provider(k)
-
-
 def simulate_state(scn: Scenario, u: ControlProcess, ens: PathEnsemble,
                    step_hook: Callable = None) -> Trajectory:
     """Simulate and store the controlled state over the ensemble.
@@ -117,48 +112,15 @@ def simulate_state(scn: Scenario, u: ControlProcess, ens: PathEnsemble,
     return Trajectory(values, x)
 
 
-def simulate_linear(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
-                    ens: PathEnsemble, phi: Callable = None, psi: Callable = None,
-                    store: bool = True, step_hook: Callable = None) -> Trajectory:
-    """Simulate the linearization along (xbar, ubar) with zero initial
-    condition: y <- solve1(g y + dt phi + noise), g = 1 + dt b_x + sigma_x xi.
-
-    phi/psi are per-step source providers k -> arrays; None, or a None
-    return, means zero.  phi broadcasts to (M, n); psi is a noise field
-    (M, n) or per mode, (1, n, K) (see _noise).  Sources with a leading
-    axis, e.g. (J, 1, n) and (J, 1, n, K) probes, march J equations in one
-    sweep: y is then (J, M, n) from the first step on.
-    """
-    stepper = _stepper(scn)
-    y = np.zeros((ens.n_paths, scn.grid.n))
-    values = None
-    for k in range(scn.n_t):
-        if step_hook is not None:
-            step_hook(k, y)
-        x, dw = xbar[k], ens.dW[:, k]
-        ub = ubar.evaluate(k, scn, x)
-        phik, psik = _source(phi, k), _source(psi, k)
-        g = (1.0 + scn.dt * scn.coeffs.b_x(x, ub)
-             + scn.coeffs.sigma_x(x, ub) * scn.noise_field(dw))
-        y = _step1(stepper, scn.dt, g * y, 0.0 if phik is None else phik,
-                   0.0 if psik is None else _noise(psik, dw, 2))
-        _check_finite(y, k + 1)
-        if store:
-            if values is None:  # the shape is known once sources broadcast
-                values = np.zeros((scn.n_t + 1,) + y.shape)
-            values[k + 1] = y
-    return Trajectory(values, y)
-
-
-# bytes of one (chunk, n, n) block: the product-space kernels stream the
-# paths in chunks of this size
+# bytes of one (chunk, n) or (chunk, n, n) block: the sourced kernel and
+# the second-order sweep stream the paths in chunks of this size
 CHUNK_BYTES = 1 << 20
 
 
-def path_chunks(m: int, n: int) -> list:
-    """Slices of the path axis whose (chunk, n, n) float blocks hold at most
-    CHUNK_BYTES (at least one path each), in path order."""
-    rows = max(1, CHUNK_BYTES // (8 * n * n))
+def path_chunks(m: int, n: int, order: int = 2) -> list:
+    """Slices of the path axis whose (chunk, n, ...) float blocks, order
+    space axes, hold at most CHUNK_BYTES (at least one path each)."""
+    rows = max(1, CHUNK_BYTES // (8 * n ** order))
     return [slice(a, min(a + rows, m)) for a in range(0, m, rows)]
 
 
@@ -167,6 +129,16 @@ def _part(src: np.ndarray, j: int, c: slice, ndim: int) -> np.ndarray:
     chunk c: only a per-path source, ndim axes and several paths, is cut."""
     src = src[j] if np.ndim(src) > ndim else src
     return src[c] if np.ndim(src) == ndim and len(src) > 1 else src
+
+
+def _line_multiplier(bx: np.ndarray, sx: np.ndarray, C, dt: float, xi,
+                     out=None):
+    """(M, n) multiplier g = 1 + dt b_x + sigma_x xi of a step on the
+    interval (into out); C is unused (tensor_multiplier's signature)."""
+    g = np.multiply(dt, bx, out=out)
+    g += 1.0
+    g += sx * xi
+    return g
 
 
 def tensor_multiplier(bx: np.ndarray, sx: np.ndarray, C: np.ndarray,
@@ -183,56 +155,80 @@ def tensor_multiplier(bx: np.ndarray, sx: np.ndarray, C: np.ndarray,
     return G
 
 
-def simulate_tensor(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
-                    ens: PathEnsemble, phi: Callable = None, psi: Callable = None,
-                    step_hook: Callable = None) -> Trajectory:
-    """Simulate the product-space linearization along (xbar, ubar) on the
-    square, keeping only the final value (step_hook sees every step; a
-    probe axis's (J, M, n, n) state is updated in place, so copy to keep it).
-
-    Y <- solve2(G Y + dt Phi + noise), G = 1 + dt c + s (+) s formed once
-    per step (tensor_multiplier).  phi/psi are per-step source providers
-    k -> arrays; None, or a None return, means zero.  phi broadcasts to
-    (M, n, n); psi is a noise field (M, n, n) or per mode, (1, n, n, K)
-    (see _noise).  Sources with a leading probe axis, (J, 1, n, n) and
-    (J, 1, n, n, K), march J states step-major in one (J, M, n, n) Y.
-    Providers are called once per step; the step runs on path chunks
-    (path_chunks), with a few chunk-sized temporaries, and checks each
-    chunk for a blow-up as it is written.
-    """
+def _sourced(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
+             ens: PathEnsemble, phi, psi, step_hook, order: int,
+             store: bool) -> Trajectory:
+    """The sourced linear equation along (xbar, ubar) from zero, on the
+    interval (order 1) or the square (order 2): Y <- solve(G Y + dt phi +
+    noise), G the order's multiplier.  Providers are called once per step;
+    (J, 1, ...) probe sources march a (J, M, ...) Y updated in place,
+    otherwise Y is a new array per step.  step_hook(k, Y) sees the whole
+    state before each step; the step runs on path chunks with chunk-sized
+    temporaries and checks each chunk for a blow-up as it is written.
+    store (order 1) keeps every step."""
     stepper = _stepper(scn)
-    m, n = ens.n_paths, scn.grid.n
-    chunks = path_chunks(m, n)
-    G, rhs = np.empty((2, chunks[0].stop, n, n))  # chunk buffers
-    Y = np.zeros((m, n, n))
+    m, n, nd = ens.n_paths, scn.grid.n, order + 1  # nd: axes of a path state
+    multiplier, solve = ((_line_multiplier, stepper.solve1) if order == 1
+                         else (tensor_multiplier, stepper.solve2))
+    chunks = path_chunks(m, n, order)
+    block = (n,) * order
+    G, rhs = np.empty((2, chunks[0].stop) + block)  # chunk buffers
+    Y = np.zeros((m,) + block)
+    values = None
     for k in range(scn.n_t):
-        phik, psik = _source(phi, k), _source(psi, k)
-        if Y.ndim == 3 and (np.ndim(phik) == 4 or np.ndim(psik) == 5):  # probes
-            Y = np.repeat(Y[None], len(phik if np.ndim(phik) == 4 else psik), 0)
+        phik, psik = (None if f is None else f(k) for f in (phi, psi))
+        if Y.ndim == nd and (np.ndim(phik) == nd + 1 or np.ndim(psik) == nd + 2):
+            Y = np.repeat(Y[None], len(phik if np.ndim(phik) == nd + 1 else psik), 0)
         if step_hook is not None:
             step_hook(k, Y)
         x, dw = xbar[k], ens.dW[:, k]
         ub = ubar.evaluate(k, scn, x)
         sx, bx, xi = (scn.coeffs.sigma_x(x, ub), scn.coeffs.b_x(x, ub),
                       scn.noise_field(dw))
-        nd = 3 if psik is None else _noise_axes(psik, dw, 3)  # before cutting
+        pnd = nd if psik is None else _noise_axes(psik, dw, nd)  # before cutting
         # without a probe axis the state is rebound, so a hook may keep it
-        new = Y if Y.ndim == 4 else np.empty_like(Y)
+        new = Y if Y.ndim > nd else np.empty_like(Y)
         for c in chunks:
             L = c.stop - c.start
-            tensor_multiplier(bx[c], sx[c], scn.noise_cov, scn.dt, xi[c],
-                              out=G[:L])
-            for j, (Yj, out) in enumerate(zip(Y.reshape(-1, m, n, n),
-                                              new.reshape(-1, m, n, n))):
+            multiplier(bx[c], sx[c], scn.noise_cov, scn.dt, xi[c], out=G[:L])
+            for j, (Yj, out) in enumerate(zip(Y.reshape(-1, m, *block),
+                                              new.reshape(-1, m, *block))):
                 r = np.multiply(G[:L], Yj[c], out=rhs[:L])
                 if phik is not None:
-                    r += scn.dt * _part(phik, j, c, 3)
+                    r += scn.dt * _part(phik, j, c, nd)
                 if psik is not None:
-                    r += _noise(_part(psik, j, c, nd), dw[c], 3)
-                out[c] = stepper.solve2(r)
+                    r += _noise(_part(psik, j, c, pnd), dw[c], nd)
+                out[c] = solve(r)
                 _check_finite(out[c], k + 1)
         Y = new
-    return Trajectory(None, Y)
+        if store:
+            if values is None:
+                values = np.zeros((scn.n_t + 1,) + Y.shape)
+            values[k + 1] = Y
+    return Trajectory(values, Y)
+
+
+def simulate_linear(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
+                    ens: PathEnsemble, phi: Callable = None, psi: Callable = None,
+                    store: bool = True, step_hook: Callable = None) -> Trajectory:
+    """The linearization along (xbar, ubar) on the interval, _sourced's
+    order 1: y <- solve1(g y + dt phi + noise), g = 1 + dt b_x + sigma_x xi.
+    phi/psi are per-step source providers k -> arrays; None, or a None
+    return, means zero.  phi broadcasts to (M, n); psi is a noise field
+    (M, n) or per mode, (1, n, K) (see _noise); a leading probe axis,
+    (J, 1, n) and (J, 1, n, K), marches a (J, M, n) y."""
+    return _sourced(scn, xbar, ubar, ens, phi, psi, step_hook, 1, store)
+
+
+def simulate_tensor(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
+                    ens: PathEnsemble, phi: Callable = None, psi: Callable = None,
+                    step_hook: Callable = None) -> Trajectory:
+    """The product-space linearization along (xbar, ubar), _sourced's
+    order 2, keeping only the final value: Y <- solve2(G Y + dt Phi +
+    noise), G = 1 + dt c + s (+) s (tensor_multiplier).  Sources as in
+    simulate_linear, on (M, n, n); a probe state is updated in place, so a
+    hook copies what it keeps."""
+    return _sourced(scn, xbar, ubar, ens, phi, psi, step_hook, 2, False)
 
 
 # -- spike sources along a reference path ------------------------------------

@@ -232,7 +232,8 @@ def _fit_slope(eps, vals):
 
     eps = np.asarray(eps)
     vals = np.asarray(vals)
-    live = vals > 0.0
+    # a value at the rounding floor of the largest one carries no rate
+    live = vals > max(0.0, np.finfo(float).eps * vals.max())
     if live.sum() < 3:
         return None
     x = np.log2(eps[live])

@@ -16,8 +16,8 @@ from spde_control.operators import ImplicitStepper, SpectralBasis
 from spde_control.scenario import (ControlProcess, DeterministicControl,
                                    Scenario, SpikeControl)
 from spde_control.verify import (block_control_candidates,
-                                 check_tensor_identity, make_tensor_probes,
-                                 zero_noise_oracle)
+                                 check_tensor_identity, make_random_probes,
+                                 make_tensor_probes, zero_noise_oracle)
 
 
 def _det_scn(**kw):
@@ -282,38 +282,56 @@ def test_stacked_tensor_probes_equal_single_probe_sweeps(K, shapes):
         assert np.max(np.abs(single.final - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+KERNELS = {1: simulate_linear, 2: simulate_tensor}
+
+
+def _stacked(probes):
+    """Per-step providers of (J, 1, ...) probe sources."""
+    phis = np.stack([phi for phi, _ in probes], axis=1)[:, :, None]
+    psis = np.stack([psi for _, psi in probes], axis=1)[:, :, None]
+    return (lambda k: phis[k]), (lambda k: psis[k])
+
+
 @pytest.mark.parametrize("K, shapes", [(1, False), (2, True)])
-def test_chunked_tensor_sweep_equals_one_chunk(monkeypatch, K, shapes):
-    # G, the right-hand sides and the solves run per path chunk: a ragged
-    # split (37 paths, the last 4) changes no bit, for (J, 1, ...) probe
-    # sources and for per-path spike sources; the hook sees the whole state
+@pytest.mark.parametrize("order", [1, 2])
+def test_chunked_sweep_equals_one_chunk(monkeypatch, order, K, shapes):
+    # the multiplier, the right-hand sides and the solves run per path
+    # chunk on both orders: a ragged split (37 paths, the last 4) changes no
+    # bit, for (J, 1, ...) probe sources and for per-path spike sources, nor
+    # does it change the interval's stored trajectory; the hook sees the
+    # whole state
     scn = make_scenario("logistic-drift", n=8, n_t=32, K=K, shapes=shapes)
     ens = PathEnsemble.for_scenario(scn, n_paths=300)
     ubar = scn.base_control
     xbar = simulate_state(scn, ubar, ens)
-    probes = make_tensor_probes(scn, 2)
-    phis = np.stack([Phi for Phi, _ in probes], axis=1)[:, :, None]
-    psis = np.stack([Psi for _, Psi in probes], axis=1)[:, :, None]
     ueps = SpikeControl(ubar, [0.8], tau=0.1, eps=0.1)
-    y = simulate_linear(scn, xbar, ubar, ens,
-                        *spike_sources(scn, xbar, ubar, ueps, ens))
-    sources = [(lambda k: phis[k], lambda k: psis[k]),
-               spike_tensor_sources(scn, xbar, ubar, ueps, y, ens)]
-    assert len(forward.path_chunks(300, 8)) == 1
-    whole = [simulate_tensor(scn, xbar, ubar, ens, phi=phi, psi=psi).final
+    spikes = spike_sources(scn, xbar, ubar, ueps, ens)
+    if order == 1:
+        probes = make_random_probes(scn, 2)
+    else:
+        probes = make_tensor_probes(scn, 2)
+        y = simulate_linear(scn, xbar, ubar, ens, *spikes)
+        spikes = spike_tensor_sources(scn, xbar, ubar, ueps, y, ens)
+    kernel, sources = KERNELS[order], [_stacked(probes), spikes]
+    assert len(forward.path_chunks(300, 8, order)) == 1
+    whole = [kernel(scn, xbar, ubar, ens, phi=phi, psi=psi)
              for phi, psi in sources]
-    monkeypatch.setattr(forward, "CHUNK_BYTES", 37 * 8 * 8 * 8)
-    assert len(forward.path_chunks(300, 8)) == 9
+    monkeypatch.setattr(forward, "CHUNK_BYTES", 37 * 8 ** (order + 1))
+    assert len(forward.path_chunks(300, 8, order)) == 9
     for (phi, psi), ref in zip(sources, whole):
         shapes_seen = set()
-        out = simulate_tensor(scn, xbar, ubar, ens, phi=phi, psi=psi,
-                              step_hook=lambda k, Y: shapes_seen.add(Y.shape))
-        assert shapes_seen == {ref.shape}
-        assert np.array_equal(out.final, ref)
-    assert np.max(np.abs(whole[1])) > 0.0
+        out = kernel(scn, xbar, ubar, ens, phi=phi, psi=psi,
+                     step_hook=lambda k, Y: shapes_seen.add(Y.shape))
+        assert shapes_seen == {ref.final.shape}
+        assert np.array_equal(out.final, ref.final)
+        if order == 1:
+            assert np.array_equal(out.values, ref.values)
+    assert whole[0].final.shape == (2, 300) + (8,) * order
+    assert np.max(np.abs(whole[1].final)) > 0.0
 
 
-def test_chunked_tensor_blow_up_raises_at_the_one_chunk_step(monkeypatch):
+@pytest.mark.parametrize("order", [1, 2])
+def test_chunked_blow_up_raises_at_the_one_chunk_step(monkeypatch, order):
     # each chunk is checked as it is written: a source that turns the last
     # path non-finite at step 5 stops the sweep at step 6 however the paths
     # are split, the bad path in the ragged last chunk
@@ -321,18 +339,42 @@ def test_chunked_tensor_blow_up_raises_at_the_one_chunk_step(monkeypatch):
     ens = PathEnsemble.for_scenario(scn, n_paths=300)
     ubar = scn.base_control
     xbar = simulate_state(scn, ubar, ens)
-    phi = np.zeros((300, 8, 8))
+    phi = np.zeros((300,) + (8,) * order)
     phi[-1] = np.inf
     steps = []
     for rows in (None, 37):
         if rows is not None:
-            monkeypatch.setattr(forward, "CHUNK_BYTES", rows * 8 * 8 * 8)
-        assert len(forward.path_chunks(300, 8)) == (1 if rows is None else 9)
+            monkeypatch.setattr(forward, "CHUNK_BYTES", rows * 8 ** (order + 1))
+        assert len(forward.path_chunks(300, 8, order)) == (1 if rows is None else 9)
         with np.errstate(invalid="ignore"), pytest.raises(BlowUpError) as exc:
-            simulate_tensor(scn, xbar, ubar, ens,
-                            phi=lambda k: phi if k == 5 else None)
+            KERNELS[order](scn, xbar, ubar, ens,
+                           phi=lambda k: phi if k == 5 else None)
         steps.append(exc.value.step)
     assert steps == [6, 6]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_probe_states_are_updated_in_place(order):
+    # with a probe axis the hook sees one (J, M, ...) state, updated in
+    # place each step and returned as the final value (a hook copies what
+    # it keeps); without one, every step makes a new state
+    scn = make_scenario("bilinear", n=8, n_t=8)
+    ens = PathEnsemble.for_scenario(scn, n_paths=20)
+    ubar = scn.base_control
+    xbar = simulate_state(scn, ubar, ens)
+    probes = (make_random_probes if order == 1 else make_tensor_probes)(scn, 2)
+    phi, psi = _stacked(probes)
+    for sources, in_place in (((phi, psi), True),
+                              ((lambda k: phi(k)[0], lambda k: psi(k)[0]),
+                               False)):
+        seen = []
+        out = KERNELS[order](scn, xbar, ubar, ens, *sources,
+                             step_hook=lambda k, Y: seen.append(Y))
+        assert len(seen) == scn.n_t
+        if in_place:
+            assert all(Y is out.final for Y in seen)
+        else:
+            assert len({id(Y) for Y in seen + [out.final]}) == scn.n_t + 1
 
 
 @pytest.mark.parametrize("K, shapes", [(2, True), (3, True), (3, False)])

@@ -145,6 +145,25 @@ def test_fit_slope_recovers_known_exponent():
     assert lo <= 2.0 <= hi
     assert _fit_slope(eps, np.zeros(5)) is None
     assert _fit_slope(eps[:2], 5.0 * eps[:2]) is None
+    # a value at the rounding floor of the largest one is not fitted
+    assert _fit_slope(eps[:3], [1.9e-8, 1.5e-9, 1.2e-32]) is None
+    assert _fit_slope(eps[:3], [1.9e-8, 1.5e-9, 1.2e-10]) is not None
+
+
+def test_rate_experiment_leaves_rounding_floor_values_out_of_the_fit():
+    # bilinear's expansion residual at the shortest spike is a cancellation,
+    # 1.2e-32 against 1.9e-8: fitted, it gave a slope of 40 with a CI of
+    # [-228, 308]; left out, too few values remain and the slope is undefined
+    scn = make_scenario("bilinear", n=16, n_t=64, K=3)
+    rep = rate_experiment(scn, scn.base_control, [0.8], tau=0.1,
+                          eps_fractions=[2 ** -3, 2 ** -4, 2 ** -5],
+                          n_paths=300, seed=7)
+    vals = rep.stats["residual"]
+    assert 0.0 < vals[-1] <= np.finfo(float).eps * vals.max()
+    assert rep.slopes["residual"] is None
+    assert "residual: too few positive values for a slope fit" in rep.notes
+    assert rep.passed("residual") is None
+    assert rep.slopes["y_moment"] is not None
 
 
 def test_rate_experiment_reports_undefined_for_degenerate_spike():
