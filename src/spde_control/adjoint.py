@@ -3,10 +3,10 @@
 Both adjoint pairs are solved by a backward sweep of the semi-implicit
 scheme, with the conditional expectations at each step replaced by a
 least-squares regression on spectral features of the current state
-(Longstaff-Schwartz), fitted once per step.  The martingale component q is
-recovered by regressing p_{k+1} dW_k / dt on the same fit (on the square,
-one GEMM fits P and every P dW_k).  The resolvent acts on the few regression
-coefficients, which are lifted to the paths once.
+(Longstaff-Schwartz), fitted once per step.  At both orders one GEMM with
+the design [Qr | Qr dW_1 | ... | Qr dW_K] fits p_{k+1} and every
+martingale target p_{k+1} dW_k; the resolvent acts on the few regression
+coefficients (S, SQ), which are lifted to the paths once.
 
 The second-order pair lives on the square; its terminal condition is the
 heat-kernel mollification of the diagonal curvature distribution.  A single
@@ -18,10 +18,10 @@ arms: when b_x, sigma_x and the curvature are exactly equal on every path,
 P = Qr T + D, and the fit, norms and increments are taken from T and D
 (coefficient arm); otherwise P is rebuilt over path chunks (chunk arm).
 The asymmetry diagnostic is max |P - P^T| over the paths in either arm,
-lifted as Qr (T - T^T) in the first.  The first-order
-and the single-width solvers expose a step hook (on the square, in
-coefficient form) so that pairings with forward sources can be accumulated
-during the sweep without storing the backward trajectory.
+lifted as Qr (T - T^T) in the first.  The first-order and the single-width
+solvers hand a step hook the coefficient form (k, Qr, S, SQ), so that
+pairings with forward sources are accumulated during the sweep without
+storing the backward trajectory.
 """
 from __future__ import annotations
 
@@ -99,11 +99,19 @@ def _project(feats: np.ndarray):
     return Q[:, :keep], cond
 
 
-def _smoothed(Qr: np.ndarray, target: np.ndarray, solve):
-    """solve of the conditional mean of the target: the resolvent acts on
-    the coefficients Qr^T target, which Qr lifts to the paths once (the
-    projector acts on the path axis, the resolvent on the space axes)."""
-    return np.tensordot(Qr, solve(np.tensordot(Qr, target, axes=(0, 0))), axes=1)
+def _design(Qr: np.ndarray, dWk: np.ndarray) -> np.ndarray:
+    """[Qr | Qr dW_1 | ... | Qr dW_K] (M, (K + 1) keep): design^T target fits
+    a target and its martingale targets in one GEMM, (K + 1, keep, ...)."""
+    m = len(Qr)
+    return (np.column_stack([np.ones(m), dWk])[:, :, None]
+            * Qr[:, None, :]).reshape(m, -1)
+
+
+def _resolve(coef: np.ndarray, solve, dt: float):
+    """(S, SQ) from a (K + 1, keep, ...) fit: the resolvent of the
+    conditional mean's coefficients, S = solve(coef[0]), and of the
+    martingale component's, SQ = solve(coef[1:] / dt) mode-major."""
+    return solve(coef[0]), solve(coef[1:].swapaxes(0, 1) / dt)
 
 
 def _step_fit(scn: Scenario, m: int):
@@ -163,12 +171,15 @@ def solve_adjoint1(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
                    step_hook: Callable = None) -> BackwardPair1:
     """Backward sweep for the first-order adjoint pair along xbar.
 
-    step_hook(k, m_k, q_k) is called at every step with the pairing values
-    at step k: the resolvent-smoothed conditional mean m_k of p_{k+1} and
-    the martingale component q_k.  These (not the stored p_k, which adds
-    the explicit drift terms) are what source pairings must use -- with
-    them, duality against the forward scheme holds exactly up to the
-    regression error.
+    step_hook(k, Qr, S, SQ) is called at every step with the pairing values
+    at step k in coefficient form: the resolvent-smoothed conditional mean
+    of p_{k+1} is m_k = Qr S and the martingale component, mode-major
+    (M, K, n), is q_k = Qr SQ, with Qr (M, keep) the step's orthonormal
+    regression basis, S (keep, n) and SQ (keep, K, n).  These (not the
+    stored p_k, which adds the explicit drift terms) are what source
+    pairings must use -- with them, duality against the forward scheme
+    holds exactly up to the regression error; pair a source with S and SQ
+    first and lift the (keep,) result with Qr.
     """
     m, n, K = ens.n_paths, scn.grid.n, scn.n_modes
     fit, diag = _step_fit(scn, m)
@@ -181,12 +192,12 @@ def solve_adjoint1(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
     for k in range(scn.n_t - 1, -1, -1):
         x = xbar[k]
         uk = ubar.evaluate(k, scn, x)
-        mart = p[:, None, :] * ens.dW[:, k][:, :, None] / scn.dt  # (M, K, n)
         Qr = fit(x)
         # exact discrete adjoint of the forward scheme: the resolvent hits
         # the conditional means first, then the explicit terms are added
-        mk = _smoothed(Qr, p, stepper.solve1)
-        q = np.swapaxes(_smoothed(Qr, mart, stepper.solve1), 1, 2)
+        coef = (_design(Qr, ens.dW[:, k]).T @ p).reshape(K + 1, -1, n)
+        S, SQ = _resolve(coef, stepper.solve1, scn.dt)
+        mk, q = Qr @ S, np.tensordot(Qr, SQ, axes=1).swapaxes(1, 2)
         drift = (scn.coeffs.b_x(x, uk) * mk
                  + np.einsum("pnk,pnk->pn", scn.sigma_x_eff(x, uk), q)
                  + scn.coeffs.l_x(x, uk))
@@ -195,7 +206,7 @@ def solve_adjoint1(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
             p_store[k] = p
             q_store[k] = q
         if step_hook is not None:
-            step_hook(k, mk, q)
+            step_hook(k, Qr, S, SQ)
     return BackwardPair1(p_store, q_store, p, diag)
 
 
@@ -355,17 +366,12 @@ def _sweep2(scn, xbar, ubar, ens, pair1, etas, store_steps, step_hook):
         x = xbar[k]
         uk = ubar.evaluate(k, scn, x)
         Qr = fit(x)
-        # [Qr | Qr dW_1 | ... | Qr dW_K]: one GEMM per width fits every target
-        design = (np.column_stack([np.ones(m), ens.dW[:, k]])[:, :, None]
-                  * Qr[:, None, :]).reshape(m, -1)
-        SAB = []
-        for coef in march(k + 1, design)[0]:
-            coef = coef.reshape(K + 1, -1, n, n)
-            S = stepper.solve2(coef[0])
-            SQ = stepper.solve2(coef[1:].swapaxes(0, 1) / dt)
-            SAB.append(_lift_coefficients(scn.profile, S, SQ))
+        # one GEMM per width fits every target
+        fits = [_resolve(coef.reshape(K + 1, -1, n, n), stepper.solve2, dt)
+                for coef in march(k + 1, _design(Qr, ens.dW[:, k]))[0]]
         if step_hook is not None:
-            step_hook(k, Qr, S, SQ)
+            step_hook(k, Qr, *fits[-1])
+        SAB = [_lift_coefficients(scn.profile, S, SQ) for S, SQ in fits]
         # the source is the diagonal embedding of the curvature
         lin = (Qr, scn.coeffs.b_x(x, uk), scn.coeffs.sigma_x(x, uk),
                _curvature(scn, x, uk, pair1.p[k], pair1.q[k]), SAB)
@@ -383,13 +389,8 @@ def solve_adjoint2_mollified(scn: Scenario, xbar: Trajectory, ubar: ControlProce
     The additive source is the diagonal embedding of the curvature of the
     Hamiltonian along the reference path, l_xx + b_xx p + <sigma_xx, q>,
     evaluated with the first-order pair.  step_hook(k, Qr, S, SQ) receives
-    the pairing values at step k in coefficient form: the resolvent-
-    smoothed conditional mean of P_{k+1} is M_k = Qr S and the martingale
-    component, mode-major (M, K, n, n), is Q_k = Qr SQ, with Qr (M, keep)
-    the step's orthonormal regression basis, S (keep, n, n) and SQ (keep,
-    K, n, n).  These are what source pairings must use for exact discrete
-    duality; pair a source with S and SQ first and lift the (keep,) result
-    with Qr.
+    the pairing values at step k in coefficient form, as in solve_adjoint1,
+    with S (keep, n, n) and SQ (keep, K, n, n): M_k = Qr S and Q_k = Qr SQ.
 
     The a-priori statistic sup_k E ||P_k||_{H^-1}^2 + E sum dt ||P_k||_{L2}^2
     is accumulated during the sweep.  This is the lockstep kernel of

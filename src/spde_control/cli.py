@@ -25,7 +25,7 @@ from .ensemble import PathEnsemble
 from .forward import BlowUpError, simulate_cost, simulate_state
 from .grids import Field, TensorField
 from .scenario import (ConfigError, ENV_OUTDIR, ScenarioValidationError,
-                       SpikeControl, load_scenario)
+                       SpikeControl, in_steps, load_scenario)
 from .serialize import field_to_csv, table_to_csv, tensor_to_csv
 from . import verify
 
@@ -131,8 +131,7 @@ def cmd_simulate(args) -> int:
     try:
         est = simulate_cost(scn, scn.base_control, ens)
     except BlowUpError as exc:
-        _verdict("simulate", False, float(exc.step), None)
-        return 1
+        return _failed("simulate", exc)
     mean_T = Field(scn.grid, est.final.mean(axis=0))
     run.write("terminal_mean.csv", field_to_csv(mean_T))
     run.write("summary.csv", table_to_csv(
@@ -199,7 +198,7 @@ def cmd_rates(args) -> int:
     if scn.spike_control is None or not isinstance(scn.spike_control, SpikeControl):
         raise ConfigError("rates needs a spike control in the scenario config")
     spike = scn.spike_control
-    if spike.tau + max(fractions) * scn.T > scn.T:
+    if in_steps(spike.tau + max(fractions) * scn.T, scn.T) > 1.0:
         raise ConfigError(f"--eps-ladder fraction {max(fractions):g} puts the "
                           f"spike past the horizon T = {scn.T:g}")
     run = _Run(args, scn)

@@ -332,11 +332,20 @@ class DeterministicControl(ControlProcess):
         return self.points[idx]
 
 
+def in_steps(t: float, step: float) -> float:
+    """t in units of step, snapped to a whole number within a relative 1e-9,
+    so that tau = k dt counts as exactly k steps despite rounding."""
+    s = t / step
+    r = round(s)
+    return float(r) if abs(s - r) <= 1e-9 * abs(s) else s
+
+
 class SpikeControl(ControlProcess):
     """Replaces the base control by a fixed point v on [tau, tau + eps).
 
-    The interval is left-closed on the discrete time grid; eps = 0 never
-    activates and reproduces the base control at every step.
+    The interval is left-closed on the discrete time grid and compared in
+    steps (in_steps); eps = 0 never activates and reproduces the base
+    control at every step.
     """
 
     def __init__(self, base: ControlProcess, v, tau: float, eps: float):
@@ -348,14 +357,14 @@ class SpikeControl(ControlProcess):
         self.eps = float(eps)
 
     def validate_horizon(self, T: float):
-        if self.tau + self.eps > T:
+        if in_steps(self.tau + self.eps, T) > 1.0:  # T is n_t whole steps
             raise ScenarioValidationError(
                 f"spike invariant violated: tau + eps = {self.tau + self.eps:g} "
                 f"exceeds horizon T = {T:g}")
 
     def active(self, k: int, scenario) -> bool:
-        t = k * scenario.dt
-        return self.tau <= t < self.tau + self.eps
+        dt = scenario.dt
+        return in_steps(self.tau, dt) <= k < in_steps(self.tau + self.eps, dt)
 
     def evaluate(self, k, scenario, x=None):
         if self.active(k, scenario):

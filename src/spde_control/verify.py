@@ -70,13 +70,35 @@ def _gap(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / denom
 
 
-def _duality_row(j: int, lhs_acc: np.ndarray, rhs_acc: np.ndarray) -> dict:
-    """Report row of probe j from the per-path LHS and RHS pairings."""
-    m = len(lhs_acc)
-    lhs, rhs = float(lhs_acc.mean()), float(rhs_acc.mean())
-    return {"probe": j, "lhs": lhs, "rhs": rhs, "gap": _gap(lhs, rhs),
-            "lhs_se": float(lhs_acc.std(ddof=1) / np.sqrt(m)),
-            "rhs_se": float(rhs_acc.std(ddof=1) / np.sqrt(m))}
+def _duality_report(lhs_acc: np.ndarray, rhs_acc: np.ndarray) -> DualityReport:
+    """One row per probe from the (J, M) per-path LHS and RHS pairings."""
+    rows = []
+    for j, (la, ra) in enumerate(zip(lhs_acc, rhs_acc)):
+        lhs, rhs = float(la.mean()), float(ra.mean())
+        rows.append({"probe": j, "lhs": lhs, "rhs": rhs, "gap": _gap(lhs, rhs),
+                     "lhs_se": float(la.std(ddof=1) / np.sqrt(len(la))),
+                     "rhs_se": float(ra.std(ddof=1) / np.sqrt(len(ra)))})
+    return DualityReport(rows, max(r["gap"] for r in rows))
+
+
+def _stacked(probes):
+    """Both sides of the probes [(phi, psi), ...] on a leading probe axis,
+    (n_t, J, 1, ...): one sweep marches every response."""
+    return [np.stack(side, axis=1)[:, :, None] for side in zip(*probes)]
+
+
+def _pairing_hook(acc, phis, psis, weight):
+    """Backward step hook adding weight (phi S + psi SQ) Qr^T to acc (J, M):
+    the stacked probes paired with the coefficients (psi mode-major, as SQ),
+    lifted to the paths once."""
+    J = len(acc)
+
+    def hook(k, Qr, S, SQ):
+        acc[:] += weight * (
+            (phis[k].reshape(J, -1) @ S.reshape(len(S), -1).T
+             + np.moveaxis(psis[k], -1, 1).reshape(J, -1)
+             @ SQ.reshape(len(SQ), -1).T) @ Qr.T)
+    return hook
 
 
 def check_duality1(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
@@ -87,19 +109,10 @@ def check_duality1(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
     """
     m, h, dt = ens.n_paths, scn.grid.h, scn.dt
     xbar = simulate_state(scn, ubar, ens)
-    rhs_acc = np.zeros((len(probes), m))
-
-    def backward_hook(k, p, q):
-        for j, (phi, psi) in enumerate(probes):
-            rhs_acc[j] += dt * h * (p @ phi[k]
-                                    + np.einsum("pnk,nk->p", q, psi[k]))
-
-    solve_adjoint1(scn, xbar, ubar, ens, store=False, step_hook=backward_hook)
-
-    # probes on a leading axis: one sweep marches every response (J, M, n)
-    phis = np.stack([phi for phi, _ in probes], axis=1)[:, :, None]
-    psis = np.stack([psi for _, psi in probes], axis=1)[:, :, None]
-    lhs_acc = np.zeros((len(probes), m))
+    phis, psis = _stacked(probes)
+    rhs_acc, lhs_acc = np.zeros((2, len(probes), m))
+    solve_adjoint1(scn, xbar, ubar, ens, store=False,
+                   step_hook=_pairing_hook(rhs_acc, phis, psis, dt * h))
 
     def forward_hook(k, y):
         x = xbar[k]
@@ -110,8 +123,7 @@ def check_duality1(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
                            psi=lambda k: psis[k], store=False,
                            step_hook=forward_hook)
     lhs_acc += h * np.sum(scn.coeffs.h_x(xbar.final) * traj.final, axis=-1)
-    rows = [_duality_row(j, lhs_acc[j], rhs_acc[j]) for j in range(len(probes))]
-    return DualityReport(rows, max(r["gap"] for r in rows))
+    return _duality_report(lhs_acc, rhs_acc)
 
 
 def make_tensor_probes(scn: Scenario, n_probes: int, seed: int = 1):
@@ -148,23 +160,13 @@ def check_duality2(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
     m, h, dt = ens.n_paths, scn.grid.h, scn.dt
     xbar = simulate_state(scn, ubar, ens)
     pair1 = solve_adjoint1(scn, xbar, ubar, ens, store=True)
-    # probes on a leading axis (J, 1, ...): one sweep marches every response
-    phis = np.stack([Phi for Phi, _ in probes], axis=1)[:, :, None]
-    psis = np.stack([Psi for _, Psi in probes], axis=1)[:, :, None]
+    phis, psis = _stacked(probes)
     rhs_acc, lhs_acc = np.zeros((2, len(probes), m))
-
-    def backward_hook(k, Qr, S, SQ):
-        # (J, keep) pairings with the coefficients, lifted to the paths once;
-        # Psi mode-major to match SQ's storage
-        rhs_acc[:] += dt * h ** 2 * (
-            (phis[k].reshape(len(probes), -1) @ S.reshape(len(S), -1).T
-             + np.moveaxis(psis[k], -1, 1).reshape(len(probes), -1)
-             @ SQ.reshape(len(SQ), -1).T) @ Qr.T)
-
     # the sweep hands back the terminal it starts from as step n_t
-    PT = solve_adjoint2_mollified(scn, xbar, ubar, ens, pair1, eta,
-                                  store_steps=(scn.n_t,),
-                                  step_hook=backward_hook).stored_steps[scn.n_t]
+    PT = solve_adjoint2_mollified(
+        scn, xbar, ubar, ens, pair1, eta, store_steps=(scn.n_t,),
+        step_hook=_pairing_hook(rhs_acc, phis, psis, dt * h ** 2)
+    ).stored_steps[scn.n_t]
 
     def forward_hook(k, Y):
         # <add_diagonal(0, curv, h), Y>_2 collapses to <curv, diagonal(Y)>_1
@@ -175,8 +177,7 @@ def check_duality2(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
     traj = simulate_tensor(scn, xbar, ubar, ens, phi=lambda k: phis[k],
                            psi=lambda k: psis[k], step_hook=forward_hook)
     lhs_acc += h ** 2 * np.einsum("pab,jpab->jp", PT, traj.final)
-    rows = [_duality_row(j, lhs_acc[j], rhs_acc[j]) for j in range(len(probes))]
-    return DualityReport(rows, max(r["gap"] for r in rows))
+    return _duality_report(lhs_acc, rhs_acc)
 
 
 def check_tensor_identity(scn: Scenario, ubar: ControlProcess, v, tau: float,

@@ -1,5 +1,7 @@
 """Shared scenario builders and reference implementations for the test
 suite."""
+import os
+
 import numpy as np
 
 from spde_control.forward import _finalize_cost, simulate_state
@@ -9,6 +11,18 @@ from spde_control.operators import (EllipticOperator, SpectralBasis,
 from spde_control.scenario import (PRESETS, ControlSet, DeterministicControl,
                                    NoiseModel, Scenario, SpikeControl,
                                    make_coefficients, sine_mode_shapes)
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def child_env():
+    """The environment for a child Python: this one with the package
+    sources first on PYTHONPATH, so the child imports the checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        os.path.join(ROOT, "src"), env.get("PYTHONPATH"))))
+    return env
 
 
 def make_scenario(preset="bilinear", a=0.0, b=1.0, n=16, n_t=64, T=0.5, K=2,
@@ -149,7 +163,45 @@ def tensor_from_csv(text):
     return TensorField(Grid2D(grid), values)
 
 
-# -- reference second-order kernels: the per-target, per-probe arithmetic ----
+# -- reference backward kernels: the per-target, per-probe arithmetic --------
+
+def smoothed(Qr, target, solve):
+    """solve of the conditional mean of the target: the resolvent acts on
+    the coefficients Qr^T target, which Qr lifts to the paths once (the
+    projector acts on the path axis, the resolvent on the space axes)."""
+    return np.tensordot(Qr, solve(np.tensordot(Qr, target, axes=(0, 0))), axes=1)
+
+
+def reference_adjoint1(scn, xbar, ubar, ens, step_hook=None):
+    """adjoint.solve_adjoint1 with one regression per target: p and the
+    (M, K, n) martingale target p dW / dt are each projected by their own
+    tensordot pair.  step_hook(k, m_k, q_k) gets the lifted pairing values,
+    q_k (M, n, K).  Returns the stored p (n_t+1, M, n) and q (n_t, M, n, K)."""
+    from spde_control.adjoint import _step_fit
+    from spde_control.forward import _stepper
+
+    m, n, K = ens.n_paths, scn.grid.n, scn.n_modes
+    fit, _ = _step_fit(scn, m)
+    stepper = _stepper(scn)
+    p_store = np.empty((scn.n_t + 1, m, n))
+    q_store = np.empty((scn.n_t, m, n, K))
+    p = p_store[scn.n_t] = scn.coeffs.h_x(xbar.final)
+    for k in range(scn.n_t - 1, -1, -1):
+        x = xbar[k]
+        uk = ubar.evaluate(k, scn, x)
+        mart = p[:, None, :] * ens.dW[:, k][:, :, None] / scn.dt
+        Qr = fit(x)
+        mk = smoothed(Qr, p, stepper.solve1)
+        q = np.swapaxes(smoothed(Qr, mart, stepper.solve1), 1, 2)
+        drift = (scn.coeffs.b_x(x, uk) * mk
+                 + np.einsum("pnk,pnk->pn", scn.sigma_x_eff(x, uk), q)
+                 + scn.coeffs.l_x(x, uk))
+        p = p_store[k] = mk + scn.dt * drift
+        q_store[k] = q
+        if step_hook is not None:
+            step_hook(k, mk, q)
+    return p_store, q_store
+
 
 def qcouple(sx, Qk):
     """sum_k (sx_k (+) sx_k) Q_k from sx (M, n, K) and Qk (M, K, n, n), one
@@ -225,7 +277,7 @@ def reference_sweep2(scn, xbar, ubar, ens, pair1, Ps, store_steps, step_hook):
     """lockstep_sweep2 with one regression per target: the martingale
     target is the (M, K, n, n) product P dW, each target is projected by
     its own tensordot pair, and P = Mk + dt (c Mk + qcouple + source)."""
-    from spde_control.adjoint import _curvature, _smoothed, _step_fit
+    from spde_control.adjoint import _curvature, _step_fit
     from spde_control.forward import _stepper
     from spde_control.operators import SpectralBasis, sobolev_norms_batch
 
@@ -250,9 +302,9 @@ def reference_sweep2(scn, xbar, ubar, ens, pair1, Ps, store_steps, step_hook):
         diag_source = _curvature(scn, x, uk, pair1.p[k], pair1.q[k]) / h
         dwk = ens.dW[:, k][:, :, None, None]
         for i, P in enumerate(Ps):
-            Mk = _smoothed(Qr, P, stepper.solve2)
-            Qk = _smoothed(Qr, P[:, None] * dwk,
-                           lambda T: stepper.solve2(T / dt))
+            Mk = smoothed(Qr, P, stepper.solve2)
+            Qk = smoothed(Qr, P[:, None] * dwk,
+                          lambda T: stepper.solve2(T / dt))
             rate = c * Mk
             rate += qcouple(sx, Qk)
             rate[:, idx, idx] += diag_source

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import make_scenario
+from helpers import child_env, make_scenario
 from spde_control.adjoint import solve_adjoint1, solve_adjoint2_limit
 from spde_control.ensemble import PathEnsemble
 from spde_control.forward import simulate_cost, simulate_state
@@ -219,7 +219,7 @@ def test_09_cli_determinism(tmp_path):
             [sys.executable, "-m", "spde_control.cli", "smp",
              "--scenario", cfg, "--seed", "7", "--paths", "500",
              "--out", str(out)],
-            capture_output=True, text=True)
+            env=child_env(), capture_output=True, text=True)
         assert "VERDICT experiment=smp" in res.stdout
         outs.append(out / "smp-bilinear-s7")
     same = (outs[0] / "gaps.csv").read_bytes() == (outs[1] / "gaps.csv").read_bytes()

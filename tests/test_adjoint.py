@@ -5,11 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import (lockstep_sweep2, make_scenario, qcouple, reference_sweep2,
-                     terminal_distance)
+from helpers import (lockstep_sweep2, make_scenario, qcouple, reference_adjoint1,
+                     reference_sweep2, smoothed, terminal_distance)
 from spde_control import adjoint, forward
 from spde_control.adjoint import (BackwardPair1, RegressionBasis, RegressionError,
-                                  _lift_coefficients, _project, _smoothed, solve_adjoint1,
+                                  _lift_coefficients, _project, solve_adjoint1,
                                   solve_adjoint2_limit, solve_adjoint2_mollified)
 from spde_control.ensemble import PathEnsemble
 from spde_control.forward import simulate_state
@@ -79,7 +79,7 @@ def test_resolvent_on_coefficients_equals_resolvent_on_paths(kind):
                           (gen.normal(size=(m, K, n, n)), stepper.solve2)):
         flat = target.reshape(m, -1)
         ref = solve((Qr @ (Qr.T @ flat)).reshape(target.shape))
-        out = _smoothed(Qr, target, solve)
+        out = smoothed(Qr, target, solve)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -129,6 +129,34 @@ def test_costless_problem_has_zero_adjoint():
     _, _, pair1 = _solved(scn, 200)
     assert np.max(np.abs(pair1.p)) == 0.0
     assert np.max(np.abs(pair1.q)) == 0.0
+
+
+@pytest.mark.parametrize("K, noise", [(1, "noisy"), (2, "noisy"), (2, "zero")])
+def test_one_gemm_first_order_sweep_matches_per_target_reference(K, noise):
+    # one GEMM fits p and every martingale target p dW_k, and the hook gets
+    # the coefficients; the reference regresses each target separately and
+    # hands the hook the lifted values: the two agree to rounding.  "zero"
+    # is the deterministic state, whose fits keep the one constant column
+    amp = dict(noise_base=0.0, noise_coupling=0.0) if noise == "zero" else {}
+    scn = make_scenario("bilinear", n=8, n_t=16, K=K, shapes=K > 1, **amp)
+    ens = PathEnsemble.for_scenario(scn, n_paths=300)
+    xbar = simulate_state(scn, scn.base_control, ens)
+    hooks, rhooks = [], []
+    pair1 = solve_adjoint1(
+        scn, xbar, scn.base_control, ens,
+        step_hook=lambda k, Qr, S, SQ: hooks.append(
+            (Qr @ S, np.moveaxis(np.tensordot(Qr, SQ, axes=1), 1, 2))))
+    p, q = reference_adjoint1(
+        scn, xbar, scn.base_control, ens,
+        step_hook=lambda k, mk, qk: rhooks.append((mk.copy(), qk.copy())))
+    if noise == "zero":
+        assert pair1.diagnostics["min_rank"] == 1
+    assert _rel(pair1.p, p) <= 1e-12 and _rel(pair1.q, q) <= 1e-12
+    assert _rel(pair1.p0, p[0]) <= 1e-12
+    assert len(hooks) == len(rhooks) == scn.n_t
+    for (mk, qk), (rmk, rqk) in zip(hooks, rhooks):
+        assert qk.shape == rqk.shape == (300, 8, K)
+        assert _rel(mk, rmk) <= 1e-12 and _rel(qk, rqk) <= 1e-12
 
 
 def test_zero_noise_martingale_component_is_sampling_noise():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import child_env
 from spde_control import verify
 from spde_control.adjoint import RegressionError
 from spde_control.cli import _parse_eta, _parse_ladder, main
@@ -148,8 +149,8 @@ def test_oracle_passes_and_writes_rows(tmp_path, capsys, kind, cfg, statistic,
 def test_import_leaves_scipy_stats_unloaded():
     code = ("import sys, spde_control.cli; "
             "print('scipy.stats' in sys.modules)")
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
+    res = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                         capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "False"
 
 
@@ -190,24 +191,47 @@ def test_rates_with_too_few_positive_values_fails(tmp_path, capsys,
     assert slopes_csv[3] == "z,nan,nan,nan,0.90000000000000002,undefined"
 
 
+def test_rates_ladder_may_end_at_the_horizon(tmp_path, capsys, monkeypatch):
+    # tau + 0.8 T = 0.04 + 0.16 is 0.20000000000000004 in floating point:
+    # the ladder ends on the horizon's step and is not a config error
+    cfg = tmp_path / "spike.cfg"
+    with open(fixture("logistic_spike.cfg")) as fh:
+        cfg.write_text(fh.read().replace("spike_tau = 0.025", "spike_tau = 0.04"))
+
+    def boom(*args, **kwargs):
+        raise BlowUpError(1)
+
+    monkeypatch.setattr(verify, "rate_experiment", boom)
+    code, _, err = run(capsys, "rates", "--scenario", str(cfg),
+                       "--eps-ladder", "0.8,0.4,0.2", "--out", str(tmp_path))
+    assert code == 1 and "config error" not in err
+    code, _, err = run(capsys, "rates", "--scenario", str(cfg),
+                       "--eps-ladder", "0.85,0.4,0.2", "--out", str(tmp_path))
+    assert code == 2 and "past the horizon" in err
+
+
 @pytest.mark.parametrize("argv, target, exc, verdicts", [
-    (("duality", "--scenario", fixture("additive.cfg")), "check_duality1",
-     BlowUpError(3), ["duality1"]),
-    (("smp", "--scenario", fixture("bilinear.cfg")), "smp_scan",
-     RegressionError("ill-conditioned"), ["smp"]),
-    (("oracle", "--scenario", fixture("zero_noise.cfg")), "zero_noise_oracle",
-     BlowUpError(5), ["oracle-zero-noise"]),
+    (("simulate", "--scenario", fixture("bilinear.cfg")),
+     "spde_control.cli.simulate_cost", BlowUpError(2), ["simulate"]),
+    (("duality", "--scenario", fixture("additive.cfg")),
+     "spde_control.verify.check_duality1", BlowUpError(3), ["duality1"]),
+    (("smp", "--scenario", fixture("bilinear.cfg")),
+     "spde_control.verify.smp_scan", RegressionError("ill-conditioned"),
+     ["smp"]),
+    (("oracle", "--scenario", fixture("zero_noise.cfg")),
+     "spde_control.verify.zero_noise_oracle", BlowUpError(5),
+     ["oracle-zero-noise"]),
     (("rates", "--scenario", fixture("logistic_spike.cfg"), "--kind", "all"),
-     "rate_experiment", BlowUpError(7),
+     "spde_control.verify.rate_experiment", BlowUpError(7),
      ["rates-y", "rates-z", "rates-residual", "rates-hgamma"]),
-], ids=["duality", "smp", "oracle", "rates"])
+], ids=["simulate", "duality", "smp", "oracle", "rates"])
 def test_failed_computation_prints_failing_verdict(tmp_path, capsys,
                                                    monkeypatch, argv, target,
                                                    exc, verdicts):
     def boom(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(verify, target, boom)
+    monkeypatch.setattr(target, boom)
     code, out, err = run(capsys, *argv, "--out", str(tmp_path))
     assert code == 1
     assert f"error: {exc}" in err

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from helpers import ROOT, child_env
+
 DEMOS = sorted(f for f in os.listdir(os.path.join(ROOT, "demos"))
                if f.endswith(".py"))
 
@@ -18,10 +19,7 @@ def test_every_demo_is_collected():
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
-        os.path.join(ROOT, "src"), env.get("PYTHONPATH"))))
     res = subprocess.run([sys.executable, os.path.join("demos", demo)],
-                         cwd=ROOT, env=env, capture_output=True, text=True,
-                         timeout=120)
+                         cwd=ROOT, env=child_env(), capture_output=True,
+                         text=True, timeout=120)
     assert res.returncode == 0, res.stderr

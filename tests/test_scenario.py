@@ -1,5 +1,6 @@
 """Coefficient presets, control processes, config loading and validation."""
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,6 +105,35 @@ def test_spike_horizon_invariant():
         spike.validate_horizon(1.0)
     with pytest.raises(ScenarioValidationError):
         SpikeControl(base, [1.0], tau=0.0, eps=0.1)
+
+
+def test_grid_aligned_spike_is_active_on_its_steps_alone():
+    # tau = k dt, eps = dt, as the SMP check builds a profitable spike; in
+    # floating point k dt + dt can exceed (k + 1) dt (T = 0.5, n_t = 12,
+    # k = 6), so a window compared in time was active on two steps
+    base = DeterministicControl.constant([0.0])
+    scn = make_scenario(n_t=12, T=0.5)
+    spike = SpikeControl(base, [1.0], tau=6 * scn.dt, eps=scn.dt)
+    assert [k for k in range(12) if spike.active(k, scn)] == [6]
+    for T in (0.2, 0.3, 0.5, 0.7, 1.0):
+        for n_t in range(10, 1001):
+            grid = SimpleNamespace(dt=T / n_t)
+            for k in (1, n_t // 2, n_t - 1):
+                spike = SpikeControl(base, [1.0], tau=k * grid.dt, eps=grid.dt)
+                assert [j for j in (k - 1, k, k + 1)
+                        if spike.active(j, grid)] == [k], (T, n_t, k)
+            wide = SpikeControl(base, [1.0], tau=grid.dt, eps=(n_t - 1) * grid.dt)
+            assert [j for j in (0, 1, n_t - 1, n_t)
+                    if wide.active(j, grid)] == [1, n_t - 1], (T, n_t)
+
+
+def test_grid_aligned_spike_may_end_at_the_horizon():
+    # tau + eps = dt + 299 dt is 0.20000000000000004 in floating point
+    base = DeterministicControl.constant([0.0])
+    dt = 0.2 / 300
+    SpikeControl(base, [1.0], tau=dt, eps=299 * dt).validate_horizon(0.2)
+    with pytest.raises(ScenarioValidationError, match="exceeds horizon"):
+        SpikeControl(base, [1.0], tau=2 * dt, eps=299 * dt).validate_horizon(0.2)
 
 
 def test_zero_length_spike_is_identity():
