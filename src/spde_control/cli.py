@@ -24,8 +24,9 @@ from .adjoint import RegressionError, solve_adjoint1, solve_adjoint2_mollified
 from .ensemble import PathEnsemble
 from .forward import BlowUpError, simulate_cost, simulate_state
 from .grids import Field, TensorField
-from .scenario import (ConfigError, ENV_OUTDIR, ScenarioValidationError,
-                       SpikeControl, in_steps, load_scenario)
+from .scenario import (ConfigError, ENV_OUTDIR, ENV_SEED,
+                       ScenarioValidationError, SpikeControl, in_steps,
+                       load_scenario)
 from .serialize import field_to_csv, table_to_csv, tensor_to_csv
 from . import verify
 
@@ -108,19 +109,23 @@ class _Run:
 
 
 def _load(args):
-    if args.paths is not None and args.paths < 2:
-        raise ConfigError(f"--paths must be at least 2, got {args.paths}")
-    if args.seed is not None and not 0 <= args.seed < 2 ** 64:
-        raise ConfigError(f"--seed must be in [0, 2^64), got {args.seed}")
     if getattr(args, "probes", 1) < 1:
         raise ConfigError(f"--probes must be at least 1, got {args.probes}")
     scn = load_scenario(args.scenario)
     if getattr(args, "eta", None) is not None:
         _parse_eta(args.eta, scn.grid.h)
+    # flags win over the environment, which wins over the config
+    seed_from = ("--seed" if args.seed is not None else
+                 ENV_SEED if ENV_SEED in os.environ else "[run] seed")
     if args.seed is not None:
         scn.seed = args.seed
     if args.paths is not None:
         scn.default_paths = args.paths
+    if not 0 <= scn.seed < 2 ** 64:
+        raise ConfigError(f"{seed_from} must be in [0, 2^64), got {scn.seed}")
+    if scn.default_paths < 2:
+        raise ConfigError(f"{'[run] paths' if args.paths is None else '--paths'} "
+                          f"must be at least 2, got {scn.default_paths}")
     return scn
 
 
@@ -202,11 +207,11 @@ def cmd_rates(args) -> int:
         raise ConfigError(f"--eps-ladder fraction {max(fractions):g} puts the "
                           f"spike past the horizon T = {scn.T:g}")
     run = _Run(args, scn)
+    ens = PathEnsemble.for_scenario(scn)
     kinds = list(_RATE_STATS) if args.kind == "all" else [args.kind]
     try:
         rep = verify.rate_experiment(scn, scn.base_control, spike.v, spike.tau,
-                                     fractions, scn.default_paths,
-                                     seed=scn.seed)
+                                     fractions, ens)
     except (BlowUpError, RegressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         for kind in kinds:

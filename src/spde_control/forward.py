@@ -240,13 +240,14 @@ def _jumps(scn, x, ub, ue, base=None):
     return scn.coeffs.b(x, ue) - b_b, scn.coeffs.sigma(x, ue) - sig_b
 
 
-def _second_variation(scn, x, ub, ue, y, a, s):
+def _second_variation(scn, x, ue, y, a, s, axx, sxx):
     """Second-order response sources (phi, omega) at one step, the noise
-    being omega xi, given the first-order response y and (a, s) = (b_x,
-    sigma_x) along (x, ub): quadratic curvature sources in y plus, on the
-    spike window, the derivative jumps acting on y."""
-    phi = 0.5 * scn.coeffs.b_xx(x, ub) * y ** 2
-    omega = 0.5 * scn.coeffs.sigma_xx(x, ub) * y ** 2
+    being omega xi, given the first-order response y and (a, s, axx, sxx) =
+    (b_x, sigma_x, b_xx, sigma_xx) along (x, ub): quadratic curvature
+    sources in y plus, on the spike window, the derivative jumps acting on
+    y."""
+    phi = 0.5 * axx * y ** 2
+    omega = 0.5 * sxx * y ** 2
     if ue is not None:
         phi = phi + (scn.coeffs.b_x(x, ue) - a) * y
         omega = omega + (scn.coeffs.sigma_x(x, ue) - s) * y
@@ -386,75 +387,64 @@ def simulate_cost(scn: Scenario, u: ControlProcess, ens: PathEnsemble) -> CostEs
 
 # -- joint spike-expansion statistics ---------------------------------------
 
-@dataclass
-class ExpansionStats:
-    """Sup-over-time moments of the spike expansion, with standard errors.
-
-    Statistics: first-order response second moment, second-order response
-    first moment, squared expansion residual, and the terminal moment of
-    the first-order response in the Sobolev norm of order 1/4.
-    """
-
-    y_moment: float
-    y_moment_se: float
-    z_moment: float
-    z_moment_se: float
-    residual: float
-    residual_se: float
-    hgamma: float
-    hgamma_se: float
+# the spike-expansion moments: the first-order response's second moment, the
+# second-order response's first moment and the squared expansion residual
+# (each a sup over time), and the terminal moment of the first-order
+# response in the Sobolev norm of order 1/4
+MOMENTS = ("y_moment", "z_moment", "residual", "hgamma")
 
 
 def spike_expansion_stats(scn: Scenario, ubar: ControlProcess, v, tau: float,
-                          eps: float, ens: PathEnsemble) -> ExpansionStats:
-    """Lockstep simulation of the reference state, the spike-perturbed
-    state and both response processes on common noise, streaming the
-    moment statistics without trajectory storage."""
-    m, n = ens.n_paths, scn.grid.n
+                          eps, ens: PathEnsemble) -> tuple:
+    """Lockstep simulation of the reference state and, for each spike length
+    in eps, the spike-perturbed state and both response processes on common
+    noise, without trajectory storage.  Each step forms the reference, its
+    noise field and its linearization once for every length; a sup-over-time
+    moment streams as its largest step mean (the first one reached) with
+    that step's standard error.  Returns (stats, ses): MOMENTS -> one value
+    per length."""
+    m, n, dt, h = ens.n_paths, scn.grid.n, scn.dt, scn.grid.h
     stepper = _stepper(scn)
-    ueps = SpikeControl(ubar, v, tau, eps)
-    ueps.validate_horizon(scn.T)
-    h = scn.grid.h
+    spikes = [SpikeControl(ubar, v, tau, e) for e in eps]
+    for sp in spikes:
+        sp.validate_horizon(scn.T)
     xb = np.tile(scn.x0.values, (m, 1))
-    xe = xb.copy()
-    y = np.zeros((m, n))
-    z = np.zeros((m, n))
-    y_sq = np.zeros((scn.n_t + 1, m))
-    z_nrm = np.zeros((scn.n_t + 1, m))
-    r_sq = np.zeros((scn.n_t + 1, m))
+    runs = [(xb.copy(), np.zeros((m, n)), np.zeros((m, n))) for _ in spikes]
+    out = np.zeros((2, len(MOMENTS), len(spikes)))  # (value, se), moment, length
+
+    def se(per_path):
+        return float(per_path.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+
     for k in range(scn.n_t):
         ub = ubar.evaluate(k, scn, xb)
-        ue = ueps.evaluate(k, scn, xe)
-        spike = ue if ueps.active(k, scn) else None
         b_b, sig_b = scn.coeffs.b(xb, ub), scn.coeffs.sigma(xb, ub)
         a, s = scn.coeffs.b_x(xb, ub), scn.coeffs.sigma_x(xb, ub)
-        db, ds = (0.0, 0.0) if spike is None else _jumps(scn, xb, ub, spike,
-                                                         (b_b, sig_b))
-        qphi, qomega = _second_variation(scn, xb, ub, spike, y, a, s)
+        bxx, sxx = scn.coeffs.b_xx(xb, ub), scn.coeffs.sigma_xx(xb, ub)
         xi = scn.noise_field(ens.dW[:, k])
-        g = 1.0 + scn.dt * a + s * xi
-        xb, xe, y, z = (
-            _step1(stepper, scn.dt, xb, b_b, sig_b * xi),
-            _step1(stepper, scn.dt, xe, scn.coeffs.b(xe, ue),
-                   scn.coeffs.sigma(xe, ue) * xi),
-            _step1(stepper, scn.dt, g * y, db, ds * xi),
-            _step1(stepper, scn.dt, g * z, qphi, qomega * xi))
-        _check_finite(xe, k + 1)
-        y_sq[k + 1] = h * np.sum(y ** 2, axis=-1)
-        z_nrm[k + 1] = np.sqrt(h * np.sum(z ** 2, axis=-1))
-        res = xe - xb - y - z
-        r_sq[k + 1] = h * np.sum(res ** 2, axis=-1)
+        g = 1.0 + dt * a + s * xi
+        xb_next = _step1(stepper, dt, xb, b_b, sig_b * xi)
+        for j, (sp, (xe, y, z)) in enumerate(zip(spikes, runs)):
+            ue = sp.evaluate(k, scn, xe)
+            spike = ue if sp.active(k, scn) else None
+            db, ds = (0.0, 0.0) if spike is None else _jumps(scn, xb, ub, spike,
+                                                             (b_b, sig_b))
+            qphi, qomega = _second_variation(scn, xb, spike, y, a, s, bxx, sxx)
+            runs[j] = xe, y, z = (
+                _step1(stepper, dt, xe, scn.coeffs.b(xe, ue),
+                       scn.coeffs.sigma(xe, ue) * xi),
+                _step1(stepper, dt, g * y, db, ds * xi),
+                _step1(stepper, dt, g * z, qphi, qomega * xi))
+            _check_finite(xe, k + 1)
+            res = xe - xb_next - y - z
+            for i, per_path in enumerate((h * np.sum(y ** 2, axis=-1),
+                                          np.sqrt(h * np.sum(z ** 2, axis=-1)),
+                                          h * np.sum(res ** 2, axis=-1))):
+                mean = per_path.mean()
+                if mean > out[0, i, j]:
+                    out[:, i, j] = mean, se(per_path)
+        xb = xb_next
     basis = SpectralBasis.build(scn.grid, scn.op)
-    hg = sobolev_norms_batch(y, basis, 0.25) ** 2
-
-    def sup_stat(per_step):
-        means = per_step.mean(axis=1)
-        k = int(np.argmax(means))
-        se = float(per_step[k].std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
-        return float(means[k]), se
-
-    ym, yse = sup_stat(y_sq)
-    zm, zse = sup_stat(z_nrm)
-    rm, rse = sup_stat(r_sq)
-    return ExpansionStats(ym, yse, zm, zse, rm, rse, float(hg.mean()),
-                          float(hg.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0)
+    for j, (_, y, _) in enumerate(runs):
+        hg = sobolev_norms_batch(y, basis, 0.25) ** 2
+        out[:, -1, j] = hg.mean(), se(hg)
+    return tuple(dict(zip(MOMENTS, part)) for part in out)

@@ -489,84 +489,97 @@ def load_scenario(path) -> Scenario:
         if section not in parser:
             raise ConfigError(f"missing config section [{section}]")
 
-    g = parser["grid"]
-    grid = Grid1D(g.getfloat("a", 0.0), g.getfloat("b", 1.0), g.getint("n"))
+    # a value that does not parse or that a grid, operator or coefficient
+    # refuses is a config error naming where it came from
+    try:
+        where = "[grid]"
+        g = parser["grid"]
+        grid = Grid1D(g.getfloat("a", 0.0), g.getfloat("b", 1.0), g.getint("n"))
 
-    opsec = parser["operator"] if "operator" in parser else {}
-    kind = opsec.get("kind", "laplacian")
-    if kind == "divergence_form":
-        a0 = float(opsec.get("a0", 1.0))
-        bump = float(opsec.get("a_bump", 0.0))
-        prof = a0 + bump * np.sin(np.pi * (grid.nodes - grid.a) / (grid.b - grid.a))
-        op = EllipticOperator("divergence_form", Field(grid, prof))
-    elif kind == "laplacian":
-        op = EllipticOperator("laplacian")
-    else:
-        raise ConfigError(f"unknown operator kind {kind!r}")
+        where = "[operator]"
+        opsec = parser["operator"] if "operator" in parser else {}
+        kind = opsec.get("kind", "laplacian")
+        if kind == "divergence_form":
+            a0 = float(opsec.get("a0", 1.0))
+            bump = float(opsec.get("a_bump", 0.0))
+            prof = a0 + bump * np.sin(np.pi * (grid.nodes - grid.a) / (grid.b - grid.a))
+            op = EllipticOperator("divergence_form", Field(grid, prof))
+        elif kind == "laplacian":
+            op = EllipticOperator("laplacian")
+        else:
+            raise ConfigError(f"unknown operator kind {kind!r}")
 
-    nsec = parser["noise"] if "noise" in parser else {}
-    K = int(nsec.get("modes", 1))
-    shapes_kind = nsec.get("shapes", "none")
-    if shapes_kind == "sine":
-        shapes = sine_mode_shapes(grid, K)
-    elif shapes_kind == "none":
-        shapes = None
-    else:
-        raise ConfigError(f"unknown noise shapes {shapes_kind!r}")
-    noise = NoiseModel(K, shapes)
+        where = "[noise]"
+        nsec = parser["noise"] if "noise" in parser else {}
+        K = int(nsec.get("modes", 1))
+        shapes_kind = nsec.get("shapes", "none")
+        if shapes_kind == "sine":
+            shapes = sine_mode_shapes(grid, K)
+        elif shapes_kind == "none":
+            shapes = None
+        else:
+            raise ConfigError(f"unknown noise shapes {shapes_kind!r}")
+        noise = NoiseModel(K, shapes)
 
-    csec = dict(parser["coefficients"])
-    preset = csec.pop("preset", None)
-    if preset is None:
-        raise ConfigError("section [coefficients] needs a preset")
-    coeffs = make_coefficients(preset, K, **csec)
+        where = "[coefficients]"
+        csec = dict(parser["coefficients"])
+        preset = csec.pop("preset", None)
+        if preset is None:
+            raise ConfigError("section [coefficients] needs a preset")
+        coeffs = make_coefficients(preset, K, **csec)
 
-    usec = parser["controls"] if "controls" in parser else {}
-    ckind = usec.get("kind", "finite")
-    if ckind == "finite":
-        pts = _parse_points(usec.get("points", "-1; 1"))
-        controls = ControlSet("finite", points=pts)
-    else:
-        low = tuple(float(t) for t in usec.get("low", "-1").split(","))
-        high = tuple(float(t) for t in usec.get("high", "1").split(","))
-        controls = ControlSet("box", low=low, high=high,
-                              lattice_size=int(usec.get("lattice", 9)))
+        where = "[time]"
+        t = parser["time"]
+        T = t.getfloat("horizon")
+        n_t = t.getint("steps")
 
-    t = parser["time"]
-    T = t.getfloat("horizon")
-    n_t = t.getint("steps")
+        where = "[controls]"
+        usec = parser["controls"] if "controls" in parser else {}
+        ckind = usec.get("kind", "finite")
+        if ckind == "finite":
+            pts = _parse_points(usec.get("points", "-1; 1"))
+            controls = ControlSet("finite", points=pts)
+        else:
+            low = tuple(float(t) for t in usec.get("low", "-1").split(","))
+            high = tuple(float(t) for t in usec.get("high", "1").split(","))
+            controls = ControlSet("box", low=low, high=high,
+                                  lattice_size=int(usec.get("lattice", 9)))
+        base_pt = usec.get("base", None)
+        if base_pt is not None:
+            base = DeterministicControl.constant(_parse_points(base_pt)[0])
+        else:
+            base = DeterministicControl.constant(controls.lattice()[0])
+        spike = None
+        if usec.get("spike_v", None) is not None:
+            spike = SpikeControl(base, _parse_points(usec["spike_v"])[0],
+                                 float(usec["spike_tau"]), float(usec["spike_eps"]))
+            spike.validate_horizon(T)
 
-    rsec = parser["run"] if "run" in parser else {}
-    x0_kind = rsec.get("x0", "sine")
-    amp = float(rsec.get("x0_amp", 1.0))
-    if x0_kind == "zero":
-        x0 = Field.zero(grid)
-    elif x0_kind == "sine":
-        x0 = Field(grid, amp * np.sin(np.pi * (grid.nodes - grid.a) / (grid.b - grid.a)))
-    elif x0_kind == "bump":
-        mid = 0.5 * (grid.a + grid.b)
-        width = 0.1 * (grid.b - grid.a)
-        x0 = Field(grid, amp * np.exp(-((grid.nodes - mid) / width) ** 2))
-    else:
-        raise ConfigError(f"unknown x0 preset {x0_kind!r}")
-    seed = int(os.environ.get(ENV_SEED, rsec.get("seed", 0)))
-
-    base_pt = usec.get("base", None)
-    if base_pt is not None:
-        base = DeterministicControl.constant(_parse_points(base_pt)[0])
-    else:
-        base = DeterministicControl.constant(controls.lattice()[0])
-    spike = None
-    if usec.get("spike_v", None) is not None:
-        spike = SpikeControl(base, _parse_points(usec["spike_v"])[0],
-                             float(usec["spike_tau"]), float(usec["spike_eps"]))
-        spike.validate_horizon(T)
+        where = "[run]"
+        rsec = parser["run"] if "run" in parser else {}
+        x0_kind = rsec.get("x0", "sine")
+        amp = float(rsec.get("x0_amp", 1.0))
+        if x0_kind == "zero":
+            x0 = Field.zero(grid)
+        elif x0_kind == "sine":
+            x0 = Field(grid, amp * np.sin(np.pi * (grid.nodes - grid.a) / (grid.b - grid.a)))
+        elif x0_kind == "bump":
+            mid = 0.5 * (grid.a + grid.b)
+            width = 0.1 * (grid.b - grid.a)
+            x0 = Field(grid, amp * np.exp(-((grid.nodes - mid) / width) ** 2))
+        else:
+            raise ConfigError(f"unknown x0 preset {x0_kind!r}")
+        paths = int(rsec.get("paths", 1000))
+        where = ENV_SEED if ENV_SEED in os.environ else "[run]"
+        seed = int(os.environ.get(ENV_SEED, rsec.get("seed", 0)))
+    except (ConfigError, ScenarioValidationError):
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
     scn = Scenario(grid=grid, op=op, coeffs=coeffs, controls=controls,
                    noise=noise, T=T, n_t=n_t, x0=x0, seed=seed,
                    name=os.path.splitext(os.path.basename(str(path)))[0],
-                   default_paths=int(rsec.get("paths", 1000)),
-                   base_control=base, spike_control=spike)
-
+                   default_paths=paths, base_control=base, spike_control=spike)
     validate_coefficients(coeffs, controls.lattice())
     return scn

@@ -246,34 +246,24 @@ def _fit_slope(eps, vals):
 
 
 def rate_experiment(scn: Scenario, ubar: ControlProcess, v, tau: float,
-                    eps_fractions, n_paths: int, seed: int = None) -> RateReport:
+                    eps_fractions, ens: PathEnsemble) -> RateReport:
     """Spike-expansion moments over an epsilon ladder with slope fits.
 
-    eps_fractions are spike lengths as fractions of the horizon.  Each
-    epsilon reuses the same ensemble.  If the spike value never differs
+    eps_fractions are spike lengths as fractions of the horizon, all
+    marched in one sweep on the ensemble.  If the spike value never differs
     from the base control the moments vanish identically and the slopes
     are reported as undefined rather than fitted on noise.
     """
-    ens = PathEnsemble.for_scenario(scn, n_paths=n_paths, seed=seed)
     eps = np.array([f * scn.T for f in eps_fractions], dtype=float)
-    names = ("y_moment", "z_moment", "residual", "hgamma")
-    stats = {nm: [] for nm in names}
-    ses = {nm: [] for nm in names}
-    for e in eps:
-        st = spike_expansion_stats(scn, ubar, v, tau, e, ens)
-        for nm in names:
-            stats[nm].append(getattr(st, nm))
-            ses[nm].append(getattr(st, nm + "_se"))
-    stats = {nm: np.array(vv) for nm, vv in stats.items()}
-    ses = {nm: np.array(vv) for nm, vv in ses.items()}
+    stats, ses = spike_expansion_stats(scn, ubar, v, tau, eps, ens)
     slopes, notes = {}, []
-    for nm in names:
-        if np.max(stats[nm]) == 0.0:
+    for nm, vals in stats.items():
+        if np.max(vals) == 0.0:
             slopes[nm] = None
             notes.append(f"{nm}: statistic vanishes, slope undefined "
                          "(spike equals base control?)")
         else:
-            slopes[nm] = _fit_slope(eps, stats[nm])
+            slopes[nm] = _fit_slope(eps, vals)
             if slopes[nm] is None:
                 notes.append(f"{nm}: too few positive values for a slope fit")
     return RateReport(eps, stats, ses, slopes, notes)

@@ -362,3 +362,61 @@ def reference_simulate_tensor(scn, xbar, ubar, ens, phi=None, psi=None):
                                        None if psi is None else psi(k))
         Y = stepper.solve2(Y + scn.dt * drift + noise)
     return Y
+
+
+def reference_expansion_stats(scn, ubar, v, tau, eps, ens):
+    """One spike length per call: the reference state re-simulated and
+    re-linearized, every step's per-path moments stored and the sup taken
+    afterwards (argmax's first hit).  Returns name -> (value, se)."""
+    from spde_control.forward import (_check_finite, _jumps,
+                                      _second_variation, _step1, _stepper)
+
+    m, n = ens.n_paths, scn.grid.n
+    stepper = _stepper(scn)
+    ueps = SpikeControl(ubar, v, tau, eps)
+    ueps.validate_horizon(scn.T)
+    h = scn.grid.h
+    xb = np.tile(scn.x0.values, (m, 1))
+    xe = xb.copy()
+    y = np.zeros((m, n))
+    z = np.zeros((m, n))
+    y_sq = np.zeros((scn.n_t + 1, m))
+    z_nrm = np.zeros((scn.n_t + 1, m))
+    r_sq = np.zeros((scn.n_t + 1, m))
+    for k in range(scn.n_t):
+        ub = ubar.evaluate(k, scn, xb)
+        ue = ueps.evaluate(k, scn, xe)
+        spike = ue if ueps.active(k, scn) else None
+        b_b, sig_b = scn.coeffs.b(xb, ub), scn.coeffs.sigma(xb, ub)
+        a, s = scn.coeffs.b_x(xb, ub), scn.coeffs.sigma_x(xb, ub)
+        db, ds = (0.0, 0.0) if spike is None else _jumps(scn, xb, ub, spike,
+                                                         (b_b, sig_b))
+        qphi, qomega = _second_variation(scn, xb, spike, y, a, s,
+                                         scn.coeffs.b_xx(xb, ub),
+                                         scn.coeffs.sigma_xx(xb, ub))
+        xi = scn.noise_field(ens.dW[:, k])
+        g = 1.0 + scn.dt * a + s * xi
+        xb, xe, y, z = (
+            _step1(stepper, scn.dt, xb, b_b, sig_b * xi),
+            _step1(stepper, scn.dt, xe, scn.coeffs.b(xe, ue),
+                   scn.coeffs.sigma(xe, ue) * xi),
+            _step1(stepper, scn.dt, g * y, db, ds * xi),
+            _step1(stepper, scn.dt, g * z, qphi, qomega * xi))
+        _check_finite(xe, k + 1)
+        y_sq[k + 1] = h * np.sum(y ** 2, axis=-1)
+        z_nrm[k + 1] = np.sqrt(h * np.sum(z ** 2, axis=-1))
+        res = xe - xb - y - z
+        r_sq[k + 1] = h * np.sum(res ** 2, axis=-1)
+    basis = SpectralBasis.build(scn.grid, scn.op)
+    hg = sobolev_norms_batch(y, basis, 0.25) ** 2
+
+    def sup_stat(per_step):
+        means = per_step.mean(axis=1)
+        k = int(np.argmax(means))
+        se = float(per_step[k].std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+        return float(means[k]), se
+
+    return {"y_moment": sup_stat(y_sq), "z_moment": sup_stat(z_nrm),
+            "residual": sup_stat(r_sq),
+            "hgamma": (float(hg.mean()),
+                       float(hg.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0)}

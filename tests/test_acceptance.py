@@ -128,7 +128,7 @@ def test_05_spike_expansion_rates():
     scn = make_scenario("logistic-drift", n=16, n_t=512, T=0.2, seed=7)
     rep = rate_experiment(scn, scn.base_control, [0.8], tau=0.025,
                           eps_fractions=[2.0 ** -k for k in range(3, 8)],
-                          n_paths=4000)
+                          ens=PathEnsemble.for_scenario(scn, n_paths=4000))
     ok = True
     worst_margin = np.inf
     for name, thr in RATE_THRESHOLDS.items():

@@ -304,6 +304,37 @@ def test_bad_flag_value_exits_two_before_any_output(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("old, new, seed_env, where", [
+    ("seed = 7", "seed = abc", None, "[run]"),
+    ("seed = 7", "seed = -1", None, "[run] seed"),
+    ("seed = 7", f"seed = {2 ** 64}", None, "[run] seed"),
+    ("paths = 2000", "paths = 1", None, "[run] paths"),
+    ("steps = 64", "steps = 1.5", None, "[time]"),
+    ("horizon = 0.5", "horizon = x", None, "[time]"),
+    ("n = 16", "n = 1", None, "[grid]"),
+    ("kind = laplacian", "kind = divergence_form\na_bump = -2", None,
+     "[operator]"),
+    (None, None, "abc", "SPDE_CONTROL_SEED"),
+    (None, None, "-1", "SPDE_CONTROL_SEED"),
+], ids=["seed-abc", "seed-negative", "seed-2^64", "paths-1", "steps-1.5",
+        "horizon-x", "grid-n-1", "a_bump", "env-seed-abc", "env-seed-negative"])
+def test_bad_config_value_exits_two_before_any_output(
+        tmp_path, capsys, monkeypatch, old, new, seed_env, where):
+    text = open(fixture("bilinear.cfg")).read()
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(old, new) if old else text)
+    if seed_env is None:
+        monkeypatch.delenv("SPDE_CONTROL_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SPDE_CONTROL_SEED", seed_env)
+    code, out, err = run(capsys, "simulate", "--scenario", str(cfg),
+                         "--out", str(tmp_path / "runs"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {where}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
 def test_spike_past_horizon_exits_two_before_any_output(tmp_path, capsys):
     # tau = 0.025 > 0, so a whole-horizon spike ends past T
     code, out, err = run(capsys, "rates", "--eps-ladder=1,0.5,0.25",

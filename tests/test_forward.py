@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from helpers import (cost, make_scenario, reference_simulate_tensor,
-                     sweep_cost)
+from helpers import (cost, make_scenario, reference_expansion_stats,
+                     reference_simulate_tensor, sweep_cost)
 from spde_control import forward
 from spde_control.ensemble import PathEnsemble
 from spde_control.forward import (BlowUpError, _second_variation,
@@ -408,8 +408,9 @@ def test_forward_layer_reads_no_per_mode_diffusion(monkeypatch, K, shapes):
     Y = simulate_tensor(scn, xbar, ubar, ens,
                         *spike_tensor_sources(scn, xbar, ubar, ueps, y, ens))
     assert np.max(np.abs(Y.final)) > 0.0
-    st = spike_expansion_stats(scn, ubar, [0.8], tau=0.1, eps=0.2, ens=ens)
-    assert st.y_moment > 0.0
+    stats, _ = spike_expansion_stats(scn, ubar, [0.8], tau=0.1, eps=[0.2],
+                                     ens=ens)
+    assert stats["y_moment"][0] > 0.0
     check_tensor_identity(scn, ubar, [0.8], tau=0.1, eps=0.2, ens=ens)
 
 
@@ -516,13 +517,13 @@ def test_cost_walk_splits_state_feedback_by_value():
 def test_spike_expansion_stats_sign_structure():
     scn = make_scenario("logistic-drift", n=8, n_t=128, T=0.5)
     ens = PathEnsemble.for_scenario(scn, n_paths=40)
-    st = spike_expansion_stats(scn, scn.base_control, [0.8], tau=0.1,
-                               eps=0.05, ens=ens)
-    assert st.y_moment > 0.0
-    assert st.z_moment > 0.0
-    assert st.hgamma > 0.0
+    stats, _ = spike_expansion_stats(scn, scn.base_control, [0.8], tau=0.1,
+                                     eps=[0.05], ens=ens)
+    assert stats["y_moment"][0] > 0.0
+    assert stats["z_moment"][0] > 0.0
+    assert stats["hgamma"][0] > 0.0
     # the expansion residual is higher order than the response itself
-    assert st.residual < st.y_moment
+    assert stats["residual"][0] < stats["y_moment"][0]
 
 
 def test_lockstep_stats_equal_the_variation_systems():
@@ -540,29 +541,93 @@ def test_lockstep_stats_equal_the_variation_systems():
         x = xbar[k]
         ub = ubar.evaluate(k, scn, x)
         ue = ueps.evaluate(k, scn, x) if ueps.active(k, scn) else None
-        phi, omega = _second_variation(scn, x, ub, ue, y[k],
+        phi, omega = _second_variation(scn, x, ue, y[k],
                                        scn.coeffs.b_x(x, ub),
-                                       scn.coeffs.sigma_x(x, ub))
+                                       scn.coeffs.sigma_x(x, ub),
+                                       scn.coeffs.b_xx(x, ub),
+                                       scn.coeffs.sigma_xx(x, ub))
         return phi, omega * scn.noise_field(ens.dW[:, k])
 
     z = simulate_linear(scn, xbar, ubar, ens, phi=lambda k: second(k)[0],
                         psi=lambda k: second(k)[1])
-    st = spike_expansion_stats(scn, ubar, [0.8], tau=0.1, eps=0.05, ens=ens)
+    stats, _ = spike_expansion_stats(scn, ubar, [0.8], tau=0.1, eps=[0.05],
+                                     ens=ens)
     y_sq = h * np.sum(y.values ** 2, axis=-1)
     z_nrm = np.sqrt(h * np.sum(z.values ** 2, axis=-1))
-    assert st.y_moment > 0.0 and st.z_moment > 0.0
-    assert float(y_sq.mean(axis=1).max()) == st.y_moment
-    assert float(z_nrm.mean(axis=1).max()) == st.z_moment
+    assert stats["y_moment"][0] > 0.0 and stats["z_moment"][0] > 0.0
+    assert float(y_sq.mean(axis=1).max()) == stats["y_moment"][0]
+    assert float(z_nrm.mean(axis=1).max()) == stats["z_moment"][0]
 
 
 def test_degenerate_spike_gives_identically_zero_stats():
     scn = make_scenario("logistic-drift", n=8, n_t=64, T=0.5, base=(0.3,))
     ens = PathEnsemble.for_scenario(scn, n_paths=10)
-    st = spike_expansion_stats(scn, scn.base_control, [0.3], tau=0.1,
-                               eps=0.05, ens=ens)
-    assert st.y_moment == 0.0
-    assert st.z_moment == 0.0
-    assert st.residual == 0.0
+    stats, _ = spike_expansion_stats(scn, scn.base_control, [0.3], tau=0.1,
+                                     eps=[0.05], ens=ens)
+    assert stats["y_moment"][0] == 0.0
+    assert stats["z_moment"][0] == 0.0
+    assert stats["residual"][0] == 0.0
+
+
+class _Feedback(ControlProcess):
+    """State feedback: minus the path's spatial mean."""
+
+    def evaluate(self, k, scenario, x=None):
+        return -x.mean(axis=1, keepdims=True)
+
+
+# (scenario, base control or None, spike value, tau, spike lengths as
+# fractions of T, paths)
+LADDERS = {
+    "rates": (dict(preset="logistic-drift", n=16, n_t=512, T=0.2), None,
+              [0.8], 0.025, [2.0 ** -k for k in range(3, 8)], 200),
+    "logistic-K3": (dict(preset="logistic-drift", n=8, n_t=64, K=3,
+                         shapes=False), None, [0.8], 0.1,
+                    [2 ** -3, 2 ** -4, 2 ** -5], 60),
+    "bilinear-K3": (dict(preset="bilinear", n=8, n_t=64, K=3, shapes=False),
+                    None, [0.8], 0.1, [2 ** -3, 2 ** -4, 2 ** -5], 60),
+    "additive-K3": (dict(preset="additive", n=8, n_t=64, K=3, shapes=False),
+                    None, [0.8], 0.1, [2 ** -3, 2 ** -4, 2 ** -5], 60),
+    # the residual at the shortest spike sits at the rounding floor
+    "rounding-floor": (dict(preset="bilinear", n=16, n_t=64, K=3), None,
+                       [0.8], 0.1, [2 ** -3, 2 ** -4, 2 ** -5], 300),
+    "degenerate": (dict(preset="additive", n=8, n_t=64, T=0.2, base=(0.3,)),
+                   None, [0.3], 0.025, [2 ** -3, 2 ** -4, 2 ** -5], 20),
+    # no spike, a repeated length and a window that ends at the horizon
+    "edges": (dict(preset="logistic-drift", n=8, n_t=64), None, [0.8], 0.25,
+              [0.0, 2 ** -3, 2 ** -3, 0.5], 2),
+    # the spiked state reads the base control at its own state
+    "state-feedback": (dict(preset="bilinear", n=8, n_t=32), _Feedback(),
+                       [0.8], 0.1, [0.25, 0.125, 0.0625], 40),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LADDERS))
+def test_ladder_equals_one_sweep_per_spike_length(case):
+    kw, ubar, v, tau, fractions, m = LADDERS[case]
+    scn = make_scenario(**kw)
+    ubar = ubar or scn.base_control
+    ens = PathEnsemble.for_scenario(scn, n_paths=m)
+    eps = [f * scn.T for f in fractions]
+    stats, ses = spike_expansion_stats(scn, ubar, v, tau, eps, ens)
+    assert list(stats) == list(ses) == list(forward.MOMENTS)
+    for j, e in enumerate(eps):
+        ref = reference_expansion_stats(scn, ubar, v, tau, e, ens)
+        assert {nm: (stats[nm][j], ses[nm][j]) for nm in stats} == ref
+
+
+def test_ladder_blow_up_raises_at_the_reference_step():
+    # the one-step spike stays finite; the longer spikes blow up at one step
+    scn = make_scenario("bilinear", n=8, n_t=32)
+    ens = PathEnsemble.for_scenario(scn, n_paths=5)
+    ubar, eps = scn.base_control, [scn.dt, 0.25, 0.125]
+    with np.errstate(all="ignore"):
+        reference_expansion_stats(scn, ubar, [1e60], 0.1, eps[0], ens)
+        with pytest.raises(BlowUpError) as ref:
+            reference_expansion_stats(scn, ubar, [1e60], 0.1, eps[1], ens)
+        with pytest.raises(BlowUpError) as exc:
+            spike_expansion_stats(scn, ubar, [1e60], 0.1, eps, ens)
+    assert exc.value.step == ref.value.step
 
 
 def test_block_control_applies_per_step():

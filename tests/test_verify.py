@@ -157,7 +157,7 @@ def test_rate_experiment_leaves_rounding_floor_values_out_of_the_fit():
     scn = make_scenario("bilinear", n=16, n_t=64, K=3)
     rep = rate_experiment(scn, scn.base_control, [0.8], tau=0.1,
                           eps_fractions=[2 ** -3, 2 ** -4, 2 ** -5],
-                          n_paths=300, seed=7)
+                          ens=PathEnsemble.for_scenario(scn, n_paths=300))
     vals = rep.stats["residual"]
     assert 0.0 < vals[-1] <= np.finfo(float).eps * vals.max()
     assert rep.slopes["residual"] is None
@@ -170,7 +170,7 @@ def test_rate_experiment_reports_undefined_for_degenerate_spike():
     scn = make_scenario("additive", n=8, n_t=64, T=0.2, base=(0.3,))
     rep = rate_experiment(scn, scn.base_control, [0.3], tau=0.025,
                           eps_fractions=[2 ** -3, 2 ** -4, 2 ** -5],
-                          n_paths=20)
+                          ens=PathEnsemble.for_scenario(scn, n_paths=20))
     assert rep.slopes["y_moment"] is None
     assert any("slope undefined" in note for note in rep.notes)
 
