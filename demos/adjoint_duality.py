@@ -35,7 +35,7 @@ def main():
     xbar = simulate_state(scn, scn.base_control, ens)
 
     pair1 = solve_adjoint1(scn, xbar, scn.base_control, ens)
-    p0 = pair1.p[0].mean(axis=0)
+    p0 = pair1.p0.mean(axis=0)
     print(f"first-order adjoint solved backward over {scn.n_t} steps")
     print(f"  mean p(0): max {p0.max():.4f}, min {p0.min():.4f}")
 

@@ -3,10 +3,12 @@
 Both adjoint pairs are solved by a backward sweep of the semi-implicit
 scheme, with the conditional expectations at each step replaced by a
 least-squares regression on spectral features of the current state
-(Longstaff-Schwartz), fitted once per step.  At both orders one GEMM with
-the design [Qr | Qr dW_1 | ... | Qr dW_K] fits p_{k+1} and every
+(Longstaff-Schwartz), fitted once per step: the first-order sweep keeps
+its fits, and the second-order sweep reuses them.  At both orders one GEMM
+with the design [Qr | Qr dW_1 | ... | Qr dW_K] fits p_{k+1} and every
 martingale target p_{k+1} dW_k; the resolvent acts on the few regression
-coefficients (S, SQ), which are lifted to the paths once.
+coefficients (S, SQ), which are lifted to the paths once.  The first-order
+pair is kept in that form and lifted one step at a time.
 
 The second-order pair lives on the square; its terminal condition is the
 heat-kernel mollification of the diagonal curvature distribution.  A single
@@ -129,14 +131,20 @@ def _step_fit(scn: Scenario, m: int):
 
     def fit(x):
         Qr, cond = _project(reg_basis.features(x))
-        if Qr.shape[1] > max(m // 20, 1):
-            raise RegressionError(
-                f"fit keeps {Qr.shape[1]} columns for {m} paths; need M >= 20 F")
+        _admit(Qr, m, diag)
         diag["max_gram_condition"] = max(diag["max_gram_condition"], cond)
-        diag["min_rank"] = min(diag.get("min_rank", Qr.shape[1]), Qr.shape[1])
         return Qr
 
     return fit, diag
+
+
+def _admit(Qr: np.ndarray, m: int, diag: dict):
+    """Refuse a fit Qr that keeps more than max(M // 20, 1) columns for m
+    paths; book its retained rank in diag["min_rank"]."""
+    if Qr.shape[1] > max(m // 20, 1):
+        raise RegressionError(
+            f"fit keeps {Qr.shape[1]} columns for {m} paths; need M >= 20 F")
+    diag["min_rank"] = min(diag.get("min_rank", Qr.shape[1]), Qr.shape[1])
 
 
 def _curvature(scn: Scenario, x: np.ndarray, uk, p: np.ndarray,
@@ -156,58 +164,73 @@ def _lift_coefficients(E, S, SQ) -> np.ndarray:
                      np.einsum("jk,qkij->qij", E, SQ)], axis=1)
 
 
+def _lift1(scn: Scenario, x: np.ndarray, uk, Qr: np.ndarray, S: np.ndarray,
+           SQ: np.ndarray):
+    """(p_k, q_k) from step k's fit along x: the conditional mean m_k = Qr S,
+    the martingale component q_k = Qr SQ (M, n, K), and p_k = m_k + dt (b_x
+    m_k + <sigma_x E, q_k> + l_x) -- the resolvent hits the conditional
+    means first, then the explicit terms are added (exact discrete adjoint
+    of the forward scheme)."""
+    mk, q = Qr @ S, np.tensordot(Qr, SQ, axes=1).swapaxes(1, 2)
+    drift = (scn.coeffs.b_x(x, uk) * mk
+             + np.einsum("pnk,pnk->pn", scn.sigma_x_eff(x, uk), q)
+             + scn.coeffs.l_x(x, uk))
+    return mk + scn.dt * drift, q
+
+
 @dataclass
 class BackwardPair1:
-    """First-order adjoint pair: p (n_t+1, M, n) and q (n_t, M, n, K)."""
+    """First-order adjoint pair in fit form: fits[k] = (Qr, S, SQ) is step
+    k's regression basis Qr (M, keep) of xbar[k] and its resolved
+    coefficients S (keep, n) and SQ (keep, K, n), for k < n_t (None when
+    the sweep did not store); p0 is p at t = 0.  lift(scn, k, x, uk)
+    rebuilds (p_k (M, n), q_k (M, n, K)) along x = xbar[k] and uk, bit for
+    bit the values the sweep stepped with; the terminal p is h_x(xbar.final).
+    """
 
-    p: Optional[np.ndarray]
-    q: Optional[np.ndarray]
+    fits: Optional[list]
     p0: np.ndarray
     diagnostics: dict = field(default_factory=dict)
+
+    def lift(self, scn: Scenario, k: int, x: np.ndarray, uk):
+        p, q = _lift1(scn, x, uk, *self.fits[k])
+        # the row-major layout a stored q had: einsum's summation order,
+        # and so its rounding, follows the operands' strides
+        return p, np.ascontiguousarray(q)
 
 
 def solve_adjoint1(scn: Scenario, xbar: Trajectory, ubar: ControlProcess,
                    ens: PathEnsemble, store: bool = True,
                    step_hook: Callable = None) -> BackwardPair1:
-    """Backward sweep for the first-order adjoint pair along xbar.
+    """Backward sweep for the first-order adjoint pair along xbar; store
+    keeps every step's fit (BackwardPair1.fits).
 
     step_hook(k, Qr, S, SQ) is called at every step with the pairing values
     at step k in coefficient form: the resolvent-smoothed conditional mean
     of p_{k+1} is m_k = Qr S and the martingale component, mode-major
     (M, K, n), is q_k = Qr SQ, with Qr (M, keep) the step's orthonormal
-    regression basis, S (keep, n) and SQ (keep, K, n).  These (not the
-    stored p_k, which adds the explicit drift terms) are what source
-    pairings must use -- with them, duality against the forward scheme
-    holds exactly up to the regression error; pair a source with S and SQ
-    first and lift the (keep,) result with Qr.
+    regression basis, S (keep, n) and SQ (keep, K, n).  These (not p_k,
+    which adds the explicit drift terms) are what source pairings must
+    use -- with them, duality against the forward scheme holds exactly up
+    to the regression error; pair a source with S and SQ first and lift the
+    (keep,) result with Qr.
     """
-    m, n, K = ens.n_paths, scn.grid.n, scn.n_modes
-    fit, diag = _step_fit(scn, m)
+    n, K = scn.grid.n, scn.n_modes
+    fit, diag = _step_fit(scn, ens.n_paths)
     stepper = _stepper(scn)
     p = scn.coeffs.h_x(xbar.final)
-    p_store = np.empty((scn.n_t + 1, m, n)) if store else None
-    q_store = np.empty((scn.n_t, m, n, K)) if store else None
-    if store:
-        p_store[scn.n_t] = p
+    fits = [None] * scn.n_t if store else None
     for k in range(scn.n_t - 1, -1, -1):
         x = xbar[k]
-        uk = ubar.evaluate(k, scn, x)
         Qr = fit(x)
-        # exact discrete adjoint of the forward scheme: the resolvent hits
-        # the conditional means first, then the explicit terms are added
         coef = (_design(Qr, ens.dW[:, k]).T @ p).reshape(K + 1, -1, n)
         S, SQ = _resolve(coef, stepper.solve1, scn.dt)
-        mk, q = Qr @ S, np.tensordot(Qr, SQ, axes=1).swapaxes(1, 2)
-        drift = (scn.coeffs.b_x(x, uk) * mk
-                 + np.einsum("pnk,pnk->pn", scn.sigma_x_eff(x, uk), q)
-                 + scn.coeffs.l_x(x, uk))
-        p = mk + scn.dt * drift
+        p = _lift1(scn, x, ubar.evaluate(k, scn, x), Qr, S, SQ)[0]
         if store:
-            p_store[k] = p
-            q_store[k] = q
+            fits[k] = (Qr, S, SQ)
         if step_hook is not None:
             step_hook(k, Qr, S, SQ)
-    return BackwardPair1(p_store, q_store, p, diag)
+    return BackwardPair1(fits, p, diag)
 
 
 @dataclass
@@ -252,14 +275,17 @@ def _sweep2(scn, xbar, ubar, ens, pair1, etas, store_steps, step_hook):
       (forward.path_chunks) lifts [Mk | A | B] and forms the per-path
       multiplier and source, max_asymmetry being the largest |P - P^T|.
 
-    The first pass builds the terminals chunk by chunk and their distances
-    to the diagonal curvature distribution; the last materializes P_0 of
-    the last width, to which store_steps (n_t names the terminal),
-    step_hook and max_asymmetry apply.  Returns that P_0, the per-width
-    a-priori statistics, squared increments and terminal distances, the
-    stored steps and diagnostics (chunk_steps counts the chunk-arm steps).
+    Step k's fit Qr is the first-order pair's, pair1.fits[k]: the column
+    guard checks it again, and the diagnostics copy the pair's Gram
+    condition and book the rank.  The first pass builds the terminals chunk
+    by chunk and their distances to the diagonal curvature distribution;
+    the last materializes P_0 of the last width, to which store_steps (n_t
+    names the terminal), step_hook and max_asymmetry apply.  Returns that
+    P_0, the per-width a-priori statistics, squared increments and terminal
+    distances, the stored steps and diagnostics (chunk_steps counts the
+    chunk-arm steps).
     """
-    fit, diag = _step_fit(scn, ens.n_paths)
+    diag = {"max_gram_condition": pair1.diagnostics["max_gram_condition"]}
     stepper = _stepper(scn)
     basis2 = SpectralBasis.build(scn.grid.square(), scn.op)
     m, n, K, h, dt = ens.n_paths, scn.grid.n, scn.n_modes, scn.grid.h, scn.dt
@@ -365,7 +391,8 @@ def _sweep2(scn, xbar, ubar, ens, pair1, etas, store_steps, step_hook):
     for k in range(scn.n_t - 1, -1, -1):
         x = xbar[k]
         uk = ubar.evaluate(k, scn, x)
-        Qr = fit(x)
+        Qr = pair1.fits[k][0]
+        _admit(Qr, m, diag)
         # one GEMM per width fits every target
         fits = [_resolve(coef.reshape(K + 1, -1, n, n), stepper.solve2, dt)
                 for coef in march(k + 1, _design(Qr, ens.dW[:, k]))[0]]
@@ -374,7 +401,7 @@ def _sweep2(scn, xbar, ubar, ens, pair1, etas, store_steps, step_hook):
         SAB = [_lift_coefficients(scn.profile, S, SQ) for S, SQ in fits]
         # the source is the diagonal embedding of the curvature
         lin = (Qr, scn.coeffs.b_x(x, uk), scn.coeffs.sigma_x(x, uk),
-               _curvature(scn, x, uk, pair1.p[k], pair1.q[k]), SAB)
+               _curvature(scn, x, uk, *pair1.lift(scn, k, x, uk)), SAB)
     P0 = march(0, None)[1]
     diag["max_asymmetry"] = max_asym
     return (P0, (acc[0] + acc[1]).tolist(), acc[3, :-1].tolist(), acc[2].tolist(),

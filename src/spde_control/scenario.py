@@ -161,6 +161,9 @@ def make_coefficients(preset: str, n_modes: int, **params) -> CoefficientSet:
         if key not in merged:
             raise ConfigError(f"unknown parameter {key!r} for preset {preset!r}")
         merged[key] = float(val)
+        if not np.isfinite(merged[key]):
+            raise ScenarioValidationError(
+                f"parameter {key!r} for preset {preset!r} must be finite, got {val}")
     cs = builder(merged)
     cs.n_modes = n_modes
     cs.name = preset
@@ -393,8 +396,9 @@ class Scenario:
     def __post_init__(self):
         if self.n_t < 2:
             raise ScenarioValidationError("time grid needs n_t >= 2")
-        if self.T <= 0.0:
-            raise ScenarioValidationError("horizon must be positive")
+        if not 0.0 < self.T < np.inf:
+            raise ScenarioValidationError(
+                f"horizon must be positive and finite, got {self.T}")
         if self.x0.grid != self.grid:
             raise ScenarioValidationError("initial state lives on a different grid")
         self.noise.validate_shapes(self.grid)
@@ -419,8 +423,15 @@ class Scenario:
         return dw @ self.profile.T
 
     def _shaped(self, vals: np.ndarray) -> np.ndarray:
-        """Per-mode values vals[..., None] * E (..., n, K) of a per-node field."""
-        return vals[..., None] * self.profile
+        """Per-mode values vals[..., None] * E (..., n, K) of a per-node field,
+        formed one mode at a time: a broadcast over the short K axis is
+        several times slower."""
+        vals, E = np.asarray(vals), self.profile
+        out = np.empty(np.broadcast_shapes(vals.shape, E.shape[:1]) + E.shape[1:],
+                       np.result_type(vals, E))
+        for j in range(E.shape[1]):
+            np.multiply(vals, E[:, j], out=out[..., j])
+        return out
 
     def sigma_eff(self, x, u):
         """Per-mode diffusion values including spatial mode shapes, (..., n, K)."""

@@ -171,7 +171,8 @@ def check_duality2(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
     def forward_hook(k, Y):
         # <add_diagonal(0, curv, h), Y>_2 collapses to <curv, diagonal(Y)>_1
         x = xbar[k]
-        curv = _curvature(scn, x, ubar.evaluate(k, scn, x), pair1.p[k], pair1.q[k])
+        uk = ubar.evaluate(k, scn, x)
+        curv = _curvature(scn, x, uk, *pair1.lift(scn, k, x, uk))
         lhs_acc[:] += dt * h * np.sum(curv * diagonal(Y), axis=-1)
 
     traj = simulate_tensor(scn, xbar, ubar, ens, phi=lambda k: phis[k],
@@ -343,7 +344,8 @@ def smp_scan(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
     for si, k in enumerate(steps):
         x = xbar[int(k)]
         uk = ubar.evaluate(int(k), scn, x)
-        p, q, P = pair1.p[int(k)], pair1.q[int(k)], pair2.stored_steps[int(k)]
+        p, q = pair1.lift(scn, int(k), x, uk)
+        P = pair2.stored_steps[int(k)]
         scale_acc.append(abs(float(np.mean(hamiltonian(scn, x, uk, p, q)))))
         for vi, v in enumerate(lattice):
             g = smp_gap(scn, x, uk, v, p, q, P)
@@ -578,6 +580,19 @@ def _oracle_report(kind: str, scored, info=()) -> OracleReport:
     return OracleReport(rows, worst, tol, ok)
 
 
+def _adjoint1_means(scn: Scenario, xbar, ubar: ControlProcess, pair1):
+    """Path means of the first-order pair, p (n_t + 1, n) and q (n_t, n, K),
+    lifted one step at a time."""
+    p_mean = np.empty((scn.n_t + 1, scn.grid.n))
+    q_mean = np.empty((scn.n_t, scn.grid.n, scn.n_modes))
+    p_mean[scn.n_t] = scn.coeffs.h_x(xbar.final).mean(axis=0)
+    for k in range(scn.n_t):
+        x = xbar[k]
+        p, q = pair1.lift(scn, k, x, ubar.evaluate(k, scn, x))
+        p_mean[k], q_mean[k] = p.mean(axis=0), q.mean(axis=0)
+    return p_mean, q_mean
+
+
 def oracle_zero_noise(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
                       eta: float) -> OracleReport:
     """Mean adjoints (p, P) of the zero-noise case against the fine-step
@@ -586,7 +601,7 @@ def oracle_zero_noise(scn: Scenario, ubar: ControlProcess, ens: PathEnsemble,
     oracle = zero_noise_oracle(scn, ubar, eta=eta)
     xbar = simulate_state(scn, ubar, ens)
     pair1 = solve_adjoint1(scn, xbar, ubar, ens)
-    p_mean = pair1.p.mean(axis=1)
+    p_mean = _adjoint1_means(scn, xbar, ubar, pair1)[0]
     scale_p = np.abs(oracle["p"]).max()
     rel_p = np.abs(p_mean - oracle["p"]).max() / scale_p
     steps = sorted({0, scn.n_t // 4, scn.n_t // 2, 3 * scn.n_t // 4})
@@ -607,12 +622,11 @@ def oracle_ansatz(scn: Scenario, ubar: ControlProcess,
     reported for reference and not scored."""
     oracle = affine_ansatz_oracle(scn, ubar)
     xbar = simulate_state(scn, ubar, ens)
-    pair1 = solve_adjoint1(scn, xbar, ubar, ens)
+    p_mean, q_mean = _adjoint1_means(scn, xbar, ubar,
+                                     solve_adjoint1(scn, xbar, ubar, ens))
     h = scn.grid.h
-    p_mean = pair1.p.mean(axis=1)
     num = np.sqrt(h * np.sum((p_mean - oracle["p_mean"]) ** 2, axis=-1))
     den = np.sqrt(h * np.sum(oracle["p_mean"] ** 2, axis=-1)).max()
-    q_mean = pair1.q.mean(axis=1)
     qn = np.sqrt(h * np.sum((q_mean - oracle["q"]) ** 2, axis=(-2, -1)))
     qd = max(np.sqrt(h * np.sum(oracle["q"] ** 2, axis=(-2, -1))).max(),
              1e-12)

@@ -8,9 +8,10 @@ from spde_control.forward import _finalize_cost, simulate_state
 from spde_control.grids import Field, Grid1D, Grid2D, TensorField
 from spde_control.operators import (EllipticOperator, SpectralBasis,
                                     sobolev_norms_batch)
-from spde_control.scenario import (PRESETS, ControlSet, DeterministicControl,
-                                   NoiseModel, Scenario, SpikeControl,
-                                   make_coefficients, sine_mode_shapes)
+from spde_control.scenario import (PRESETS, ControlProcess, ControlSet,
+                                   DeterministicControl, NoiseModel, Scenario,
+                                   SpikeControl, make_coefficients,
+                                   sine_mode_shapes)
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -23,6 +24,13 @@ def child_env():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (
         os.path.join(ROOT, "src"), env.get("PYTHONPATH"))))
     return env
+
+
+class MeanFeedback(ControlProcess):
+    """State feedback: minus the path's spatial mean."""
+
+    def evaluate(self, k, scenario, x=None):
+        return -x.mean(axis=1, keepdims=True)
 
 
 def make_scenario(preset="bilinear", a=0.0, b=1.0, n=16, n_t=64, T=0.5, K=2,
@@ -203,6 +211,44 @@ def reference_adjoint1(scn, xbar, ubar, ens, step_hook=None):
     return p_store, q_store
 
 
+def storing_adjoint1(scn, xbar, ubar, ens):
+    """adjoint.solve_adjoint1's fit, GEMM and resolve with the pair kept on
+    every path: returns p (n_t+1, M, n) and q (n_t, M, n, K) as the sweep
+    steps with them, the values BackwardPair1.lift must rebuild bit for
+    bit."""
+    from spde_control.adjoint import _design, _resolve, _step_fit
+    from spde_control.forward import _stepper
+
+    m, n, K = ens.n_paths, scn.grid.n, scn.n_modes
+    fit, _ = _step_fit(scn, m)
+    stepper = _stepper(scn)
+    p_store = np.empty((scn.n_t + 1, m, n))
+    q_store = np.empty((scn.n_t, m, n, K))
+    p = p_store[scn.n_t] = scn.coeffs.h_x(xbar.final)
+    for k in range(scn.n_t - 1, -1, -1):
+        x = xbar[k]
+        uk = ubar.evaluate(k, scn, x)
+        Qr = fit(x)
+        coef = (_design(Qr, ens.dW[:, k]).T @ p).reshape(K + 1, -1, n)
+        S, SQ = _resolve(coef, stepper.solve1, scn.dt)
+        mk, q = Qr @ S, np.tensordot(Qr, SQ, axes=1).swapaxes(1, 2)
+        drift = (scn.coeffs.b_x(x, uk) * mk
+                 + np.einsum("pnk,pnk->pn", scn.sigma_x_eff(x, uk), q)
+                 + scn.coeffs.l_x(x, uk))
+        p = p_store[k] = mk + scn.dt * drift
+        q_store[k] = q
+    return p_store, q_store
+
+
+def lifted_pair(scn, xbar, ubar, pair1):
+    """Every step of a stored first-order pair lifted to the paths: p
+    (n_t+1, M, n), its terminal h_x(xbar.final), and q (n_t, M, n, K)."""
+    lifts = [pair1.lift(scn, k, xbar[k], ubar.evaluate(k, scn, xbar[k]))
+             for k in range(scn.n_t)]
+    p = np.stack([pk for pk, _ in lifts] + [scn.coeffs.h_x(xbar.final)])
+    return p, np.stack([qk for _, qk in lifts])
+
+
 def qcouple(sx, Qk):
     """sum_k (sx_k (+) sx_k) Q_k from sx (M, n, K) and Qk (M, K, n, n), one
     strided mode at a time."""
@@ -244,7 +290,7 @@ def lockstep_sweep2(scn, xbar, ubar, ens, pair1, Ps, store_steps, step_hook):
                   * Qr[:, None, :]).reshape(m, -1)
         sx = scn.coeffs.sigma_x(x, uk)
         G1 = tensor_multiplier(scn.coeffs.b_x(x, uk), sx, scn.noise_cov, dt)
-        diag_source = _curvature(scn, x, uk, pair1.p[k], pair1.q[k]) / h
+        diag_source = _curvature(scn, x, uk, *pair1.lift(scn, k, x, uk)) / h
         for i, P in enumerate(Ps):
             coef = (design.T @ P.reshape(m, -1)).reshape(K + 1, -1, n, n)
             SQ = stepper.solve2(coef[1:].swapaxes(0, 1) / dt)
@@ -299,7 +345,7 @@ def reference_sweep2(scn, xbar, ubar, ens, pair1, Ps, store_steps, step_hook):
         Qr = fit(x)
         sx = scn.sigma_x_eff(x, uk)
         c = reference_tensor_drift(scn.coeffs.b_x(x, uk), sx)
-        diag_source = _curvature(scn, x, uk, pair1.p[k], pair1.q[k]) / h
+        diag_source = _curvature(scn, x, uk, *pair1.lift(scn, k, x, uk)) / h
         dwk = ens.dW[:, k][:, :, None, None]
         for i, P in enumerate(Ps):
             Mk = smoothed(Qr, P, stepper.solve2)

@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import (lockstep_sweep2, make_scenario, qcouple, reference_adjoint1,
-                     reference_sweep2, smoothed, terminal_distance)
+from helpers import (MeanFeedback, lifted_pair, lockstep_sweep2, make_scenario,
+                     qcouple, reference_adjoint1, reference_sweep2, smoothed,
+                     storing_adjoint1, terminal_distance)
 from spde_control import adjoint, forward
 from spde_control.adjoint import (BackwardPair1, RegressionBasis, RegressionError,
                                   _lift_coefficients, _project, solve_adjoint1,
@@ -25,6 +26,13 @@ def _solved(scn, n_paths):
     xbar = simulate_state(scn, scn.base_control, ens)
     pair1 = solve_adjoint1(scn, xbar, scn.base_control, ens)
     return ens, xbar, pair1
+
+
+def _lifted(scn, n_paths):
+    """The first-order pair on every step and path, p (n_t+1, M, n) and q
+    (n_t, M, n, K), along the base control."""
+    _, xbar, pair1 = _solved(scn, n_paths)
+    return lifted_pair(scn, xbar, scn.base_control, pair1)
 
 
 # -- regression machinery ----------------------------------------------------
@@ -105,13 +113,22 @@ def test_noisy_first_order_solve_needs_twenty_paths_per_kept_column(m):
 
 
 def test_second_order_sweeps_refuse_too_many_features():
+    # the second-order sweeps reuse the first-order fits and check them
+    # again: a pair fitted without the guard keeps 9 columns at the last
+    # step, where the sweeps start, more than max(M // 20, 1) = 5, and both
+    # sweeps refuse it
     scn = make_scenario("bilinear", n=8, n_t=8)
     ens = PathEnsemble.for_scenario(scn, n_paths=100)
     xbar = simulate_state(scn, scn.base_control, ens)
     m, n, K = ens.n_paths, scn.grid.n, scn.n_modes
-    pair1 = BackwardPair1(np.zeros((scn.n_t + 1, m, n)),
-                          np.zeros((scn.n_t, m, n, K)), np.zeros((m, n)))
-    assert RegressionBasis(scn.grid, scn.op).n_features > ens.n_paths // 20
+    basis = RegressionBasis(scn.grid, scn.op)
+    Qrs = [_project(basis.features(xbar[k]))[0] for k in range(scn.n_t)]
+    assert Qrs[-1].shape[1] == 9
+    pair1 = BackwardPair1(
+        [(Qr, np.zeros((Qr.shape[1], n)), np.zeros((Qr.shape[1], K, n)))
+         for Qr in Qrs], np.zeros((m, n)), {"max_gram_condition": 1.0})
+    with pytest.raises(RegressionError, match="need M"):
+        solve_adjoint1(scn, xbar, scn.base_control, ens)
     h2 = scn.grid.h ** 2
     with pytest.raises(RegressionError, match="need M"):
         solve_adjoint2_mollified(scn, xbar, scn.base_control, ens, pair1,
@@ -126,9 +143,9 @@ def test_second_order_sweeps_refuse_too_many_features():
 def test_costless_problem_has_zero_adjoint():
     scn = make_scenario("bilinear", n=8, n_t=16, state_weight=0.0,
                         term_weight=0.0)
-    _, _, pair1 = _solved(scn, 200)
-    assert np.max(np.abs(pair1.p)) == 0.0
-    assert np.max(np.abs(pair1.q)) == 0.0
+    p, q = _lifted(scn, 200)
+    assert np.max(np.abs(p)) == 0.0
+    assert np.max(np.abs(q)) == 0.0
 
 
 @pytest.mark.parametrize("K, noise", [(1, "noisy"), (2, "noisy"), (2, "zero")])
@@ -151,12 +168,36 @@ def test_one_gemm_first_order_sweep_matches_per_target_reference(K, noise):
         step_hook=lambda k, mk, qk: rhooks.append((mk.copy(), qk.copy())))
     if noise == "zero":
         assert pair1.diagnostics["min_rank"] == 1
-    assert _rel(pair1.p, p) <= 1e-12 and _rel(pair1.q, q) <= 1e-12
+    lp, lq = lifted_pair(scn, xbar, scn.base_control, pair1)
+    assert _rel(lp, p) <= 1e-12 and _rel(lq, q) <= 1e-12
     assert _rel(pair1.p0, p[0]) <= 1e-12
     assert len(hooks) == len(rhooks) == scn.n_t
     for (mk, qk), (rmk, rqk) in zip(hooks, rhooks):
         assert qk.shape == rqk.shape == (300, 8, K)
         assert _rel(mk, rmk) <= 1e-12 and _rel(qk, rqk) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["1-noisy", "2-noisy", "2-zero", "2-feedback"])
+def test_lifted_pair_equals_storing_sweep(case):
+    # the pair keeps each step's fit and lifts (p_k, q_k) through the step
+    # the sweep itself takes, so every lift is the value a sweep that keeps
+    # p and q on every path stores, bit for bit.  "zero" is the
+    # deterministic state, whose fits keep the one constant column, and
+    # "feedback" a state-feedback base control
+    K, noise = int(case[0]), case[2:]
+    amp = dict(noise_base=0.0, noise_coupling=0.0) if noise == "zero" else {}
+    scn = make_scenario("bilinear", n=8, n_t=16, K=K, shapes=K > 1, **amp)
+    ubar = MeanFeedback() if noise == "feedback" else scn.base_control
+    ens = PathEnsemble.for_scenario(scn, n_paths=300)
+    xbar = simulate_state(scn, ubar, ens)
+    pair1 = solve_adjoint1(scn, xbar, ubar, ens)
+    p, q = storing_adjoint1(scn, xbar, ubar, ens)
+    ranks = [Qr.shape[1] for Qr, _, _ in pair1.fits]
+    assert (max(ranks) == 1) == (noise == "zero")
+    for k in range(scn.n_t):
+        pk, qk = pair1.lift(scn, k, xbar[k], ubar.evaluate(k, scn, xbar[k]))
+        assert np.array_equal(pk, p[k]) and np.array_equal(qk, q[k])
+    assert np.array_equal(pair1.p0, p[0])
 
 
 def test_zero_noise_martingale_component_is_sampling_noise():
@@ -165,28 +206,28 @@ def test_zero_noise_martingale_component_is_sampling_noise():
     scn = make_scenario("additive", n=8, n_t=32, noise_amp=0.0, shapes=False,
                         K=1)
     m = 4000
-    _, _, pair1 = _solved(scn, m)
-    bound = 4.0 * np.abs(pair1.p).max() / np.sqrt(m * scn.dt)
-    assert np.max(np.abs(pair1.q)) < bound
+    p, q = _lifted(scn, m)
+    bound = 4.0 * np.abs(p).max() / np.sqrt(m * scn.dt)
+    assert np.max(np.abs(q)) < bound
 
 
 def test_first_order_matches_zero_noise_oracle():
     scn = make_scenario("additive", a=0.0, b=2.0, n=12, n_t=256, T=0.25,
                         base=(0.5,), noise_amp=0.0, shapes=False, K=1)
-    _, _, pair1 = _solved(scn, 2)
+    p, _ = _lifted(scn, 2)
     oracle = zero_noise_oracle(scn, scn.base_control)
     scale = np.abs(oracle["p"]).max()
-    rel = np.abs(pair1.p.mean(axis=1) - oracle["p"]).max() / scale
+    rel = np.abs(p.mean(axis=1) - oracle["p"]).max() / scale
     assert rel < 2e-3
 
 
 def test_first_order_matches_affine_ansatz_oracle():
     scn = make_scenario("additive", a=0.0, b=2.0, n=16, n_t=128, T=0.5,
                         base=(0.5,), noise_amp=0.2)
-    _, _, pair1 = _solved(scn, 600)
+    p, _ = _lifted(scn, 600)
     oracle = affine_ansatz_oracle(scn, scn.base_control)
     h = scn.grid.h
-    num = np.sqrt(h * np.sum((pair1.p.mean(axis=1)
+    num = np.sqrt(h * np.sum((p.mean(axis=1)
                               - oracle["p_mean"]) ** 2, axis=-1))
     den = np.sqrt(h * np.sum(oracle["p_mean"] ** 2, axis=-1)).max()
     assert num.max() / den < 0.05
@@ -420,17 +461,17 @@ def test_deterministic_state_fits_one_column(monkeypatch):
     # the column is exactly constant, with no QR: every path gets the same
     # adjoints, and every second-order step takes the coefficient arm
     assert pair1.diagnostics["max_gram_condition"] == 1.0
-    assert np.all(pair1.p == pair1.p[:, :1]) and np.all(pair2.P0 == pair2.P0[:1])
+    p, _ = lifted_pair(scn, xbar, scn.base_control, pair1)
+    assert np.all(p == p[:, :1]) and np.all(pair2.P0 == pair2.P0[:1])
     assert pair2.diagnostics["chunk_steps"] == 0
-    assert pair1.p.shape == (scn.n_t + 1, 50, 8)
+    assert p.shape == (scn.n_t + 1, 50, 8)
     assert pair2.P0.shape == (50, 8, 8)
 
 
 def test_regress_method_fits_once_per_step(monkeypatch):
-    # one fit per step serves both targets and every width, and the
-    # resolvent solves the regression coefficients, not the M paths
+    # one fit per step serves both orders, both targets and every width,
+    # and the resolvent solves the regression coefficients, not the M paths
     scn = make_scenario("bilinear", n=8, n_t=16)
-    ens, xbar, pair1 = _solved(scn, 200)
     fits, sizes = [], []
     project = adjoint._project
 
@@ -446,6 +487,8 @@ def test_regress_method_fits_once_per_step(monkeypatch):
         return orig(self, rhs)
 
     monkeypatch.setattr(ImplicitStepper, "solve2", record)
+    ens, xbar, pair1 = _solved(scn, 200)
+    assert len(fits) == scn.n_t
     h2 = scn.grid.h ** 2
     rep = solve_adjoint2_limit(scn, xbar, scn.base_control, ens, pair1,
                                etas=[16 * h2, 8 * h2, 4 * h2])
@@ -453,6 +496,9 @@ def test_regress_method_fits_once_per_step(monkeypatch):
     assert len(sizes) == 2 * 3 * scn.n_t
     assert max(sizes) <= RegressionBasis(scn.grid, scn.op).n_features
     assert 1 <= rep.finest.diagnostics["min_rank"] <= max(sizes)
+    # the second-order diagnostics book the reused fits
+    assert all(rep.finest.diagnostics[key] == pair1.diagnostics[key]
+               for key in ("max_gram_condition", "min_rank"))
     assert rep.finest.P0.shape == (200, 8, 8)
 
 

@@ -314,10 +314,17 @@ def test_bad_flag_value_exits_two_before_any_output(tmp_path, capsys, argv):
     ("n = 16", "n = 1", None, "[grid]"),
     ("kind = laplacian", "kind = divergence_form\na_bump = -2", None,
      "[operator]"),
+    ("horizon = 0.5", "horizon = nan", None, "horizon must be positive and finite"),
+    ("horizon = 0.5", "horizon = inf", None, "horizon must be positive and finite"),
+    ("[coefficients]", "[coefficients]\ngain = nan", None,
+     "parameter 'gain' for preset 'bilinear' must be finite"),
+    ("[coefficients]", "[coefficients]\nnoise_base = -inf", None,
+     "parameter 'noise_base' for preset 'bilinear' must be finite"),
     (None, None, "abc", "SPDE_CONTROL_SEED"),
     (None, None, "-1", "SPDE_CONTROL_SEED"),
 ], ids=["seed-abc", "seed-negative", "seed-2^64", "paths-1", "steps-1.5",
-        "horizon-x", "grid-n-1", "a_bump", "env-seed-abc", "env-seed-negative"])
+        "horizon-x", "grid-n-1", "a_bump", "horizon-nan", "horizon-inf",
+        "gain-nan", "noise_base-inf", "env-seed-abc", "env-seed-negative"])
 def test_bad_config_value_exits_two_before_any_output(
         tmp_path, capsys, monkeypatch, old, new, seed_env, where):
     text = open(fixture("bilinear.cfg")).read()

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from helpers import (cost, make_scenario, reference_expansion_stats,
-                     reference_simulate_tensor, sweep_cost)
+from helpers import (MeanFeedback, cost, make_scenario,
+                     reference_expansion_stats, reference_simulate_tensor,
+                     sweep_cost)
 from spde_control import forward
 from spde_control.ensemble import PathEnsemble
 from spde_control.forward import (BlowUpError, _second_variation,
@@ -569,13 +570,6 @@ def test_degenerate_spike_gives_identically_zero_stats():
     assert stats["residual"][0] == 0.0
 
 
-class _Feedback(ControlProcess):
-    """State feedback: minus the path's spatial mean."""
-
-    def evaluate(self, k, scenario, x=None):
-        return -x.mean(axis=1, keepdims=True)
-
-
 # (scenario, base control or None, spike value, tau, spike lengths as
 # fractions of T, paths)
 LADDERS = {
@@ -597,7 +591,7 @@ LADDERS = {
     "edges": (dict(preset="logistic-drift", n=8, n_t=64), None, [0.8], 0.25,
               [0.0, 2 ** -3, 2 ** -3, 0.5], 2),
     # the spiked state reads the base control at its own state
-    "state-feedback": (dict(preset="bilinear", n=8, n_t=32), _Feedback(),
+    "state-feedback": (dict(preset="bilinear", n=8, n_t=32), MeanFeedback(),
                        [0.8], 0.1, [0.25, 0.125, 0.0625], 40),
 }
 

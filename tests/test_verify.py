@@ -184,7 +184,7 @@ def test_gap_vanishes_at_the_reference_control():
                                      4.0 * scn.grid.h ** 2, store_steps={10})
     k = 10
     uk = scn.base_control.evaluate(k, scn)
-    g = smp_gap(scn, xbar[k], uk, uk, pair1.p[k], pair1.q[k],
+    g = smp_gap(scn, xbar[k], uk, uk, *pair1.lift(scn, k, xbar[k], uk),
                 pair2.stored_steps[k])
     assert np.max(np.abs(g)) == 0.0
 
